@@ -3,14 +3,21 @@
 Subcommands: ``simulate`` (dataset to CSV), ``filter`` (dataset CSV plus
 config to trace CSV), ``experiment`` (named experiment end to end),
 ``sweep-nmc``, and ``grid`` (rho grid search). A ``--config`` file supplies
-``key = value`` defaults that explicit flags override. Exit codes: 0 on
-success, 1 on usage errors, 2 on numerical failure.
+``key = value`` defaults that explicit flags override. Its keys (``-`` and
+``_`` are interchangeable; any other is a usage error): experiment, method,
+setting, n, seeds, seed, n_mc, n_iter, rho_a, rho_b, learn_a, learn_b, the
+initial beliefs a0, s0, q0, sigma0, p0, the constant-variance grid q_grid,
+q_shape (masked | full | both), sigma2_const, the design's walk_var, and out,
+data, nmc_list. An unset key takes the harness default, and a filter key the
+filter's own. Exit codes: 0 on success, 1 on usage errors, 2 on numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .datagen import read_dataset_csv, write_dataset_csv
@@ -45,7 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="key = value config file")
+    common.add_argument("--config", type=str, default=None,
+                        help="key = value config file; keys: " + ", ".join(CONFIG_KEYS))
     common.add_argument("--seed", type=int, default=None, help="single seed")
     common.add_argument("--seeds", type=str, default=None, help="comma list or a..b range")
     common.add_argument("--out", type=str, default=None, help="output directory")
@@ -88,6 +96,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _parse_q_shapes(text: str) -> tuple[QShape, ...]:
+    return tuple(QShape) if text == "both" else (QShape(text),)
+
+
+# Every key a config file may set, with its parser.
+CONFIG_KEYS = {
+    "experiment": ExperimentKind, "method": Method, "setting": Setting,
+    **dict.fromkeys(("n", "seed", "n_mc", "n_iter"), int),
+    **dict.fromkeys(("rho_a", "rho_b", "a0", "s0", "q0", "sigma0", "p0", "sigma2_const",
+                     "walk_var"), float),
+    **dict.fromkeys(("learn_a", "learn_b"), _parse_bool),
+    "seeds": _parse_seeds, "q_grid": _parse_floats, "q_shape": _parse_q_shapes,
+    "out": str, "data": str, "nmc_list": lambda text: [int(v) for v in text.split(",")],
+}
+# Keys the subcommands read themselves; the rest fill ExperimentConfig or
+# InitOverrides fields of the same name (q_shape fills q_shapes).
+_COMMAND_KEYS = {"seed", "out", "data", "nmc_list"}
+_INIT_FIELDS = {f.name for f in fields(InitOverrides)}
+
+
 class _Options:
     """Config-file values overridden by explicit flags."""
 
@@ -95,68 +127,38 @@ class _Options:
         self.file: dict[str, str] = {}
         if getattr(args, "config", None):
             self.file = parse_config_file(args.config)
+        unknown = sorted(set(self.file) - CONFIG_KEYS.keys())
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
         self.args = args
 
-    def get(self, key: str, parse=str, default=None):
-        flag_value = getattr(self.args, key, None)
-        if flag_value is not None:
-            return flag_value
-        if key in self.file:
-            return parse(self.file[key])
-        return default
+    def get(self, key: str, default=None):
+        raw = getattr(self.args, key, None)
+        if raw is None:
+            raw = self.file.get(key)
+        if raw is None:
+            return default
+        try:
+            return CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise UsageError(f"{key}: {exc}") from exc
 
 
-def _seeds_from(opts: _Options, default: tuple[int, ...]) -> tuple[int, ...]:
-    if opts.args.seed is not None:
-        return (opts.args.seed,)
-    raw = opts.get("seeds", parse=_parse_seeds)
-    if raw is not None:
-        return raw if isinstance(raw, tuple) else _parse_seeds(raw)
-    if "seed" in opts.file:
-        return (int(opts.file["seed"]),)
-    return default
-
-
-def _build_config(opts: _Options, *, seeds_default=(1,), method_default="viking") -> ExperimentConfig:
-    experiment = opts.get("experiment", default="ws-iid")
-    method = opts.get("method", default=method_default)
-    setting = opts.get("setting", default="diagonal")
-    try:
-        experiment = ExperimentKind(experiment)
-        method = Method(method)
-        setting = Setting(setting)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    init = InitOverrides(
-        a0=opts.get("a0", parse=float, default=0.0),
-        s0=opts.get("s0", parse=float, default=0.1),
-        q0=opts.get("q0", parse=float),
-        sigma0=opts.get("sigma0", parse=float),
-        p0=opts.get("p0", parse=float, default=1.0),
-    )
-    q_shape = opts.get("q_shape", default="both")
-    q_shapes = (QShape.MASKED, QShape.FULL) if q_shape == "both" else (QShape(q_shape),)
-    q_grid = opts.get("q_grid", parse=lambda s: tuple(float(v) for v in s.split(",")))
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        method=method,
-        setting=setting,
-        n=opts.get("n", parse=int, default=1000),
-        seeds=_seeds_from(opts, seeds_default),
-        rho_a=opts.get("rho_a", parse=float),
-        rho_b=opts.get("rho_b", parse=float),
-        n_mc=opts.get("n_mc", parse=int, default=10),
-        n_iter=opts.get("n_iter", parse=int, default=2),
-        learn_a=opts.get("learn_a", parse=_parse_bool),
-        learn_b=opts.get("learn_b", parse=_parse_bool),
-        sigma2_const=opts.get("sigma2_const", parse=float, default=1.0),
-        init=init,
-        walk_var=opts.get("walk_var", parse=float, default=1e-3),
-    )
-    if q_grid is not None:
-        cfg.q_grid = q_grid
-    cfg.q_shapes = q_shapes
-    return cfg
+def _build_config(opts: _Options, *, seeds_default: tuple[int, ...] | None = (1,)) -> ExperimentConfig:
+    """Config from the keys the user set; a ``None`` seeds default keeps the config's."""
+    given: dict = {"experiment": ExperimentKind.WS_IID, "method": Method.VIKING}
+    init: dict = {}
+    for key in CONFIG_KEYS:
+        value = None if key in _COMMAND_KEYS else opts.get(key)
+        if value is not None:
+            field = "q_shapes" if key == "q_shape" else key
+            (init if field in _INIT_FIELDS else given)[field] = value
+    # precedence: the --seed flag, then seeds (flag or file), then a file's seed
+    if opts.args.seed is not None or ("seeds" not in given and "seed" in opts.file):
+        given["seeds"] = (opts.get("seed"),)
+    if seeds_default is not None:
+        given.setdefault("seeds", seeds_default)
+    return ExperimentConfig(**given, init=InitOverrides(**init))
 
 
 def _out_dir(opts: _Options) -> Path:
@@ -196,7 +198,7 @@ def _cmd_filter(opts: _Options) -> int:
 
 
 def _cmd_experiment(opts: _Options) -> int:
-    cfg = _build_config(opts, seeds_default=tuple(range(1, 21)))
+    cfg = _build_config(opts, seeds_default=None)
     out = _out_dir(opts)
     summary = run_experiment(cfg, out_dir=out)
     row = summary.best_row
@@ -206,9 +208,8 @@ def _cmd_experiment(opts: _Options) -> int:
 
 
 def _cmd_sweep_nmc(opts: _Options) -> int:
-    cfg = _build_config(opts, seeds_default=tuple(range(1, 21)))
-    raw = opts.get("nmc_list", default="1,2,5,10,20")
-    nmc_list = [int(v) for v in str(raw).split(",")]
+    cfg = _build_config(opts, seeds_default=None)
+    nmc_list = opts.get("nmc_list", default=[1, 2, 5, 10, 20])
     out = _out_dir(opts)
     rows = sweep_nmc(cfg, nmc_list, out_dir=out)
     for nmc, mean, ratio in rows:
@@ -220,9 +221,9 @@ def _cmd_grid(opts: _Options) -> int:
     cfg = _build_config(opts, seeds_default=tuple(range(1, 11)))
     if cfg.method is not Method.VIKING:
         raise UsageError("grid search applies to the adaptive filter only")
-    if opts.args.rho_a is None and "rho_a" not in opts.file:
+    if cfg.rho_a is None:
         cfg.rho_a = DEFAULT_RHO_GRID
-    if opts.args.rho_b is None and "rho_b" not in opts.file:
+    if cfg.rho_b is None:
         cfg.rho_b = DEFAULT_RHO_GRID
     out = _out_dir(opts)
     summary = run_experiment(cfg, out_dir=out)

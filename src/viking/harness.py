@@ -27,6 +27,8 @@ from .datagen import (
     Dataset,
     DesignKind,
     DEFAULT_WALK_VAR,
+    MS_CONTRACTION,
+    WS_Q_MASK,
     default_resonator_sigma2,
     gen_design,
     gen_misspecified,
@@ -39,10 +41,7 @@ from .records import StepRecord, fmt, write_trace_csv
 from .transforms import NoiseTransform
 from .vb import VikingHyper, default_initial_state, viking_run
 
-DEFAULT_RHO_GRID = tuple(math.exp(-i) for i in range(1, 11))
-DEFAULT_Q_GRID = tuple(math.exp(-i) for i in range(1, 11))
-RESONATOR_RHO_A = math.exp(-6.0)
-MS_FILTER_CONTRACTION = 0.9
+DEFAULT_RHO_GRID = DEFAULT_Q_GRID = tuple(math.exp(-i) for i in range(1, 11))
 
 
 class ExperimentKind(Enum):
@@ -71,10 +70,11 @@ class QShape(Enum):
 
 @dataclass
 class InitOverrides:
-    """Initial beliefs; ``None`` fields resolve to per-experiment defaults."""
+    """Initial beliefs; ``None`` fields take the experiment's table entry,
+    else the default of :func:`default_initial_state`."""
 
-    a0: float = 0.0
-    s0: float = 0.1
+    a0: float | None = None
+    s0: float | None = None
     q0: float | None = None      # initial state-noise diagonal, f(b0)
     sigma0: float | None = None  # initial latent covariance scale
     p0: float = 1.0
@@ -82,6 +82,9 @@ class InitOverrides:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. ``None`` filter fields take the experiment's table
+    entry (:data:`RESONATOR_DEFAULTS`), else the filter's default."""
+
     experiment: ExperimentKind
     method: Method
     setting: Setting = Setting.DIAGONAL
@@ -89,8 +92,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(1, 21))
     rho_a: float | tuple[float, ...] | None = None
     rho_b: float | tuple[float, ...] | None = None
-    n_mc: int = 10
-    n_iter: int = 2
+    n_mc: int = VikingHyper.n_mc
+    n_iter: int = VikingHyper.n_iter
     learn_a: bool | None = None
     learn_b: bool | None = None
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID
@@ -140,38 +143,25 @@ def transition_for(cfg: ExperimentConfig, d: int) -> np.ndarray:
     if cfg.experiment is ExperimentKind.RESONATOR:
         return resonator_transition()
     if cfg.experiment in (ExperimentKind.MS_IID, ExperimentKind.MS_NONIID):
-        return MS_FILTER_CONTRACTION * np.eye(d)
+        return MS_CONTRACTION * np.eye(d)
     return np.eye(d)
 
 
-def _resolved_flags(cfg: ExperimentConfig) -> tuple[bool, bool]:
-    if cfg.experiment is ExperimentKind.RESONATOR:
-        # state noise is known there; only the observation variance is learned
-        learn_a = True if cfg.learn_a is None else cfg.learn_a
-        learn_b = False if cfg.learn_b is None else cfg.learn_b
-    else:
-        learn_a = True if cfg.learn_a is None else cfg.learn_a
-        learn_b = True if cfg.learn_b is None else cfg.learn_b
-    return learn_a, learn_b
+# The resonator's state noise is known, so only the observation variance is
+# learned; while b is not learned, f(b0) is pinned to the recorded noise with no
+# latent uncertainty (see ``run_cell``).
+RESONATOR_DEFAULTS = {"rho_a": math.exp(-6.0), "rho_b": 0.0, "learn_b": False}
 
 
-def _viking_init(cfg: ExperimentConfig, transform: NoiseTransform, ds: Dataset, seed: int):
-    init = cfg.init
-    _, learn_b = _resolved_flags(cfg)
-    pin_known_q = cfg.experiment is ExperimentKind.RESONATOR and not learn_b
-    if init.q0 is not None:
-        q0 = init.q0
-    elif pin_known_q:
-        # pin f(b0) to the known state noise
-        q0 = ds.truth.q_diag[0] if transform.latent_dim > 1 else float(ds.truth.q_diag[0].mean())
-    else:
-        q0 = 0.1
-    if init.sigma0 is not None:
-        sigma0 = init.sigma0
-    else:
-        sigma0 = 0.0 if pin_known_q else 0.1
-    return default_initial_state(transform, a0=init.a0, s0=init.s0, q0=q0,
-                                 sigma0=sigma0, p0=init.p0, seed=seed)
+def _set_fields(**values) -> dict:
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _viking_fields(cfg: ExperimentConfig) -> dict:
+    """Filter fields the config sets, over the experiment's table."""
+    table = RESONATOR_DEFAULTS if cfg.experiment is ExperimentKind.RESONATOR else {}
+    return {**table, **_set_fields(rho_a=cfg.rho_a, rho_b=cfg.rho_b,
+                                   learn_a=cfg.learn_a, learn_b=cfg.learn_b)}
 
 
 @dataclass(frozen=True)
@@ -183,21 +173,12 @@ class GridPoint:
     shape: QShape | None = None
 
 
-def _resolved_rhos(cfg: ExperimentConfig) -> tuple:
-    """Per-experiment random-walk defaults for ``None`` rho fields."""
-    if cfg.experiment is ExperimentKind.RESONATOR:
-        auto_a, auto_b = RESONATOR_RHO_A, 0.0
-    else:
-        auto_a, auto_b = math.exp(-9.0), math.exp(-6.0)
-    rho_a = auto_a if cfg.rho_a is None else cfg.rho_a
-    rho_b = auto_b if cfg.rho_b is None else cfg.rho_b
-    return rho_a, rho_b
-
-
 def grid_points(cfg: ExperimentConfig) -> list[GridPoint]:
     """Deterministic grid enumeration; single-point methods get one entry."""
     if cfg.method is Method.VIKING:
-        rho_a, rho_b = _resolved_rhos(cfg)
+        fields = _viking_fields(cfg)
+        rho_a = fields.get("rho_a", VikingHyper.rho_a)
+        rho_b = fields.get("rho_b", VikingHyper.rho_b)
         ras = rho_a if isinstance(rho_a, tuple) else (rho_a,)
         rbs = rho_b if isinstance(rho_b, tuple) else (rho_b,)
         return [GridPoint(f"rho_a={a:.6g},rho_b={b:.6g}", rho_a=a, rho_b=b)
@@ -212,7 +193,7 @@ def _constant_q_matrix(shape: QShape, q: float, d: int) -> np.ndarray:
     if shape is QShape.MASKED:
         if d != 5:
             raise ValueError("masked constant-Q shape needs a 5-dimensional state")
-        return q * np.diag([0.0, 0.0, 1.0, 1.0, 1.0])
+        return q * np.diag(WS_Q_MASK)
     return q * np.eye(d)
 
 
@@ -223,11 +204,14 @@ def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) ->
     if cfg.method is Method.VIKING:
         transform = (NoiseTransform.scalar(d) if cfg.setting is Setting.SCALAR
                      else NoiseTransform.diagonal(d))
-        learn_a, learn_b = _resolved_flags(cfg)
-        hyper = VikingHyper(transform, K, rho_a=point.rho_a, rho_b=point.rho_b,
-                            n_mc=cfg.n_mc, n_iter=cfg.n_iter,
-                            learn_a=learn_a, learn_b=learn_b)
-        trace, _ = viking_run(ds, hyper, init=_viking_init(cfg, transform, ds, seed))
+        fields = {**_viking_fields(cfg), "rho_a": point.rho_a, "rho_b": point.rho_b}
+        hyper = VikingHyper(transform, K, n_mc=cfg.n_mc, n_iter=cfg.n_iter, **fields)
+        init = _set_fields(**vars(cfg.init))
+        if cfg.experiment is ExperimentKind.RESONATOR and not hyper.learn_b:
+            q_known = ds.truth.q_diag[0]
+            pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
+            init = {"q0": pinned, "sigma0": 0.0, **init}
+        trace, _ = viking_run(ds, hyper, init=default_initial_state(transform, seed=seed, **init))
         return trace
     init = GaussianState(np.zeros(d), cfg.init.p0 * np.eye(d))
     if cfg.method is Method.KALMAN_ORACLE:

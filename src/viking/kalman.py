@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym
-from .records import StepRecord
+from .records import StepRecord, fill_cum_sq_err
 
 
 @dataclass
@@ -72,20 +72,16 @@ def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: floa
 
 
 def _normalize_q_schedule(Q_schedule, n: int, d: int) -> list[np.ndarray]:
-    if isinstance(Q_schedule, (list, tuple)):
-        mats = [np.asarray(q, dtype=float) for q in Q_schedule]
-    else:
-        arr = np.asarray(Q_schedule, dtype=float)
-        if arr.ndim == 2:
-            if arr.shape != (d, d):
-                raise ValueError(f"constant Q has shape {arr.shape}, expected ({d}, {d})")
-            return [arr] * n
-        if arr.ndim != 3:
-            raise ValueError("Q schedule must be a (d,d) matrix or an (n,d,d) stack")
-        mats = list(arr)
-    if len(mats) != n:
-        raise ValueError(f"Q schedule has length {len(mats)}, expected {n}")
-    return mats
+    arr = np.asarray(Q_schedule, dtype=float)
+    if arr.ndim == 2:
+        if arr.shape != (d, d):
+            raise ValueError(f"constant Q has shape {arr.shape}, expected ({d}, {d})")
+        return [arr] * n
+    if arr.ndim != 3:
+        raise ValueError("Q schedule must be a (d,d) matrix or an (n,d,d) stack")
+    if len(arr) != n:
+        raise ValueError(f"Q schedule has length {len(arr)}, expected {n}")
+    return list(arr)
 
 
 def _normalize_sigma2_schedule(sigma2_schedule, n: int) -> np.ndarray:
@@ -109,19 +105,14 @@ def kalman_run(series, K: np.ndarray, Q_schedule, sigma2_schedule,
     qs = _normalize_q_schedule(Q_schedule, n, d)
     sig = _normalize_sigma2_schedule(sigma2_schedule, n)
     state = init.copy() if init is not None else GaussianState(np.zeros(d), np.eye(d))
-    half = n // 2
-    cum = 0.0
     trace: list[StepRecord] = []
     for t in range(n):
         y = float(series.y[t])
         state, prediction, pred_var = kalman_step(state, K, qs[t], float(sig[t]), series.x[t], y)
-        resid = y - prediction
-        if t >= half:
-            cum += resid * resid
         trace.append(StepRecord(
-            t=t, y=y, forecast=prediction, forecast_var=pred_var, residual=resid,
+            t=t, y=y, forecast=prediction, forecast_var=pred_var, residual=y - prediction,
             a_hat=float(np.log(sig[t])), s=0.0, sigma2_eff=float(sig[t]),
-            b_hat=None, sigma_diag=None, cum_sq_err=cum if t >= half else 0.0,
+            b_hat=None, sigma_diag=None, cum_sq_err=0.0,
             theta=state.mean.copy(), cov=state.cov.copy(),
         ))
-    return trace
+    return fill_cum_sq_err(trace)

@@ -11,7 +11,6 @@ jitter retry (``1e-10 * trace/dim`` added to the diagonal) and then raises
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotri
 
 JITTER_SCALE = 1e-10
@@ -84,11 +83,6 @@ def spd_factor(m: np.ndarray):
     return factor
 
 
-def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``m @ z = b`` for SPD ``m``."""
-    return scipy.linalg.cho_solve((spd_factor(m), True), b, check_finite=False)
-
-
 def spd_inv(m: np.ndarray) -> np.ndarray:
     """Symmetrized Cholesky-based inverse of an SPD matrix. Counts as one inversion."""
     global _inversions
@@ -116,8 +110,3 @@ def spd_inv_batch(ms: np.ndarray) -> np.ndarray:
     inv = chol_inv.transpose(0, 2, 1) @ chol_inv
     _inversions += k
     return 0.5 * (inv + inv.transpose(0, 2, 1))
-
-
-def spd_logdet(m: np.ndarray) -> float:
-    """log-determinant of an SPD matrix via its Cholesky factor."""
-    return float(2.0 * np.sum(np.log(np.diagonal(spd_factor(m)))))

@@ -35,6 +35,16 @@ class StepRecord:
     cov: np.ndarray | None = field(default=None, repr=False)
 
 
+def fill_cum_sq_err(trace: list[StepRecord]) -> list[StepRecord]:
+    """Running squared residual over the steps past ``n // 2``; 0 before them."""
+    half, cum = len(trace) // 2, 0.0
+    for t, rec in enumerate(trace):
+        if t >= half:
+            cum += rec.residual * rec.residual
+        rec.cum_sq_err = cum
+    return trace
+
+
 def fmt(v: float) -> str:
     return f"{v:.17g}"
 

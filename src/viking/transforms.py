@@ -61,31 +61,26 @@ class NoiseTransform:
         return cls(TransformKind.DIAGONAL, dim)
 
 
-def phi(b: float) -> float:
+def _on_active_branch(b, fn):
+    """``fn(b)`` on nonnegatives, zero on negatives; elementwise, a float for a float."""
+    b = np.asarray(b, dtype=float)
+    out = np.where(b >= 0.0, fn(np.maximum(b, 0.0)), 0.0)
+    return out if out.ndim else float(out)
+
+
+def phi(b):
     """Zero on negatives, ``log(1+b)`` on nonnegatives."""
-    return 0.0 if b < 0.0 else float(np.log1p(b))
+    return _on_active_branch(b, np.log1p)
 
 
-def phi_d1(b: float) -> float:
+def phi_d1(b):
     """First derivative of :func:`phi`; right limit 1 at the kink."""
-    return 0.0 if b < 0.0 else 1.0 / (1.0 + b)
+    return _on_active_branch(b, lambda u: 1.0 / (1.0 + u))
 
 
-def phi_d2(b: float) -> float:
+def phi_d2(b):
     """Second derivative of :func:`phi`; right limit -1 at the kink."""
-    return 0.0 if b < 0.0 else -1.0 / (1.0 + b) ** 2
-
-
-def _phi_vec(b: np.ndarray) -> np.ndarray:
-    return np.where(b >= 0.0, np.log1p(np.maximum(b, 0.0)), 0.0)
-
-
-def _phi_d1_vec(b: np.ndarray) -> np.ndarray:
-    return np.where(b >= 0.0, 1.0 / (1.0 + np.maximum(b, 0.0)), 0.0)
-
-
-def _phi_d2_vec(b: np.ndarray) -> np.ndarray:
-    return np.where(b >= 0.0, -1.0 / (1.0 + np.maximum(b, 0.0)) ** 2, 0.0)
+    return _on_active_branch(b, lambda u: -1.0 / (1.0 + u) ** 2)
 
 
 def _check_latent(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
@@ -97,25 +92,18 @@ def _check_latent(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def noise_diag(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
-    """Diagonal of ``f(b)`` as a length-``dim`` vector."""
-    b = _check_latent(transform, b)
-    if transform.kind is TransformKind.SCALAR:
-        return np.full(transform.dim, phi(float(b[0])))
-    return _phi_vec(b)
-
-
 def noise_diag_batch(transform: NoiseTransform, draws: np.ndarray) -> np.ndarray:
-    """Diagonals of ``f(b_i)`` for a ``(k, latent_dim)`` stack of latents."""
-    if transform.kind is TransformKind.SCALAR:
-        coeff = _phi_vec(draws[:, 0])
-        return np.repeat(coeff[:, None], transform.dim, axis=1)
-    return _phi_vec(draws)
+    """Diagonals of ``f(b_i)`` for a ``(k, latent_dim)`` stack of latents.
+
+    The scalar kind is the diagonal kind with its one latent broadcast to
+    every coordinate.
+    """
+    return np.broadcast_to(phi(draws), (draws.shape[0], transform.dim))
 
 
 def apply_f(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
     """PSD diagonal state-noise matrix ``f(b)``."""
-    return np.diag(noise_diag(transform, b))
+    return np.diag(noise_diag_batch(transform, _check_latent(transform, b)[None])[0])
 
 
 def psi_value(transform: NoiseTransform, b: np.ndarray, B: np.ndarray, KPK: np.ndarray) -> float:
@@ -127,28 +115,30 @@ def psi_value(transform: NoiseTransform, b: np.ndarray, B: np.ndarray, KPK: np.n
     return float(logdet + trace)
 
 
+def _fold(transform: NoiseTransform, v: np.ndarray) -> np.ndarray:
+    """Per-coordinate derivative summed back onto the latent.
+
+    The scalar kind's one latent feeds every coordinate, so by the chain rule
+    its gradient and curvature are the sums over the coordinates.
+    """
+    return v if transform.latent_dim == transform.dim else np.full((1,) * v.ndim, v.sum())
+
+
 def _gradient_from_inv(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C_inv: np.ndarray) -> np.ndarray:
     G = C_inv - C_inv @ B @ C_inv
-    if transform.kind is TransformKind.SCALAR:
-        return np.array([np.trace(G) * phi_d1(float(b_hat[0]))])
-    return np.diagonal(G) * _phi_d1_vec(b_hat)
+    return _fold(transform, np.diagonal(G) * phi_d1(b_hat))
 
 
 def _hessian_bound_from_inv(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C_inv: np.ndarray) -> np.ndarray:
     MBM = C_inv @ B @ C_inv
-    if transform.kind is TransformKind.SCALAR:
-        d1 = phi_d1(float(b_hat[0]))
-        d2 = phi_d2(float(b_hat[0]))
-        h = -np.trace(MBM) * d2 + 2.0 * np.trace(C_inv @ MBM) * d1 * d1
-        return np.array([[h]])
-    d1 = _phi_d1_vec(b_hat)
-    d2 = _phi_d2_vec(b_hat)
+    d1 = phi_d1(b_hat)
     H = 2.0 * MBM * C_inv * (d1[:, None] * d1)
-    H[np.arange(len(b_hat)), np.arange(len(b_hat))] -= np.diagonal(MBM) * d2
-    return sym(H)
+    d = transform.dim
+    H.reshape(d * d)[::d + 1] -= np.diagonal(MBM) * phi_d2(b_hat)
+    return _fold(transform, sym(H))
 
 
-def _check_expansion_point(transform: NoiseTransform, b_hat: np.ndarray) -> None:
+def _check_expansion_point(b_hat: np.ndarray) -> None:
     if np.any(b_hat <= 0.0):
         raise ValueError(
             "hessian bound requires f(b_hat) positive definite: every latent coordinate must be > 0"
@@ -168,7 +158,7 @@ def psi_hessian_bound(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarra
     their latents to a small positive floor before evaluating this).
     """
     b_hat = _check_latent(transform, b_hat)
-    _check_expansion_point(transform, b_hat)
+    _check_expansion_point(b_hat)
     return _hessian_bound_from_inv(transform, b_hat, B, spd_inv(C))
 
 
@@ -177,7 +167,7 @@ def psi_gradient_hessian_bound(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian bound sharing a single factorization of ``C``."""
     b_hat = _check_latent(transform, b_hat)
-    _check_expansion_point(transform, b_hat)
+    _check_expansion_point(b_hat)
     C_inv = spd_inv(C)
     return (
         _gradient_from_inv(transform, b_hat, B, C_inv),

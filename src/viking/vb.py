@@ -30,7 +30,7 @@ import numpy as np
 
 from .kalman import GaussianState, rank_one_update
 from .linalg import SingularMatrixError, eye, spd_inv, spd_inv_batch, sym
-from .records import StepRecord
+from .records import StepRecord, fill_cum_sq_err
 from .rng import STREAM_FILTER, make_rng
 from .transforms import (
     NoiseTransform,
@@ -78,9 +78,6 @@ class VarianceBeliefs:
     b_hat: np.ndarray
     Sigma: np.ndarray
 
-    def copy(self) -> "VarianceBeliefs":
-        return VarianceBeliefs(self.a_hat, self.s, self.b_hat.copy(), self.Sigma.copy())
-
 
 @dataclass
 class VikingState:
@@ -111,18 +108,6 @@ def default_initial_state(transform: NoiseTransform, *, a0: float = 0.0, s0: flo
     b0 = np.expm1(q0_arr)
     beliefs = VarianceBeliefs(a0, s0, b0, sigma0 * np.eye(m))
     return VikingState(GaussianState(np.zeros(d), p0 * np.eye(d)), beliefs, 0, make_rng(seed, stream))
-
-
-_diag_idx_cache: dict[int, np.ndarray] = {}
-
-
-def _diag_idx(d: int) -> np.ndarray:
-    idx = _diag_idx_cache.get(d)
-    if idx is None:
-        idx = np.arange(d)
-        idx.setflags(write=False)
-        _diag_idx_cache[d] = idx
-    return idx
 
 
 def _psd_sqrt(Sigma: np.ndarray) -> np.ndarray:
@@ -156,8 +141,7 @@ def estimate_precision(b_hat: np.ndarray, Sigma: np.ndarray, KPK: np.ndarray,
         return spd_inv(C), C.copy()
     draws = sample_noise_latents(b_hat, Sigma, n_mc, rng)
     Cs = np.broadcast_to(KPK, (n_mc, d, d)).copy()
-    idx = _diag_idx(d)
-    Cs[:, idx, idx] += noise_diag_batch(transform, draws)
+    Cs.reshape(n_mc, d * d)[:, ::d + 1] += noise_diag_batch(transform, draws)
     A = sym(spd_inv_batch(Cs).mean(axis=0))
     return A, spd_inv(A)
 
@@ -220,11 +204,15 @@ def _propagate(st: VikingState, hyper: VikingHyper) -> tuple[np.ndarray, np.ndar
     return prior_mean, KPK, prop
 
 
+def _predictive(x: np.ndarray, prior_mean: np.ndarray, prop: np.ndarray,
+                bel: VarianceBeliefs) -> tuple[float, float]:
+    return float(x @ prior_mean), float(x @ prop @ x) + math.exp(bel.a_hat + 0.5 * bel.s)
+
+
 def forecast(st: VikingState, hyper: VikingHyper, x: np.ndarray) -> tuple[float, float]:
     """Plug-in one-step predictive mean and variance for covariates ``x``."""
     prior_mean, _, prop = _propagate(st, hyper)
-    bel = st.beliefs
-    return float(x @ prior_mean), float(x @ prop @ x) + math.exp(bel.a_hat + 0.5 * bel.s)
+    return _predictive(x, prior_mean, prop, st.beliefs)
 
 
 def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y: float) -> tuple[VikingState, StepRecord]:
@@ -248,8 +236,7 @@ def _viking_step_inner(st: VikingState, hyper: VikingHyper, x: np.ndarray, y: fl
     m = transform.latent_dim
     bel = st.beliefs
     prior_mean, KPK, prop = _propagate(st, hyper)
-    fc_mean = float(x @ prior_mean)
-    fc_var = float(x @ prop @ x) + math.exp(bel.a_hat + 0.5 * bel.s)
+    fc_mean, fc_var = _predictive(x, prior_mean, prop, bel)
 
     a_prev, s_prev = bel.a_hat, bel.s
     b_prev, Sigma_prev = bel.b_hat, bel.Sigma
@@ -292,17 +279,11 @@ def viking_run(series, hyper: VikingHyper, init: VikingState | None = None,
     if series.d != hyper.transform.dim:
         raise ValueError(f"dataset dimension {series.d} does not match filter dimension {hyper.transform.dim}")
     st = init if init is not None else default_initial_state(hyper.transform, seed=seed)
-    n = series.n
-    half = n // 2
-    cum = 0.0
     trace: list[StepRecord] = []
-    for t in range(n):
+    for t in range(series.n):
         st, rec = viking_step(st, hyper, series.x[t], float(series.y[t]))
-        if t >= half:
-            cum += rec.residual * rec.residual
-        rec.cum_sq_err = cum if t >= half else 0.0
         trace.append(rec)
-    return trace, st
+    return fill_cum_sq_err(trace), st
 
 
 def state_to_checkpoint(st: VikingState) -> dict:

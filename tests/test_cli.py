@@ -114,3 +114,13 @@ def test_grid_cli_small(tmp_path, capsys):
 
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
+
+
+def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("experimnt = ms-iid\nn = 20\n", encoding="utf-8")
+    code = run_cli("experiment", "--config", str(cfg), "--method", "kalman-constant",
+                   "--seed", "1", "--out", str(tmp_path))
+    assert code == 1
+    assert "experimnt" in capsys.readouterr().err
+    assert not (tmp_path / "ws-iid").exists()

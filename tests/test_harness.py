@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,3 +172,37 @@ def test_config_validation():
         _tiny_cfg(seeds=())
     with pytest.raises(ValueError):
         _tiny_cfg(q_grid=())
+
+
+def _assert_traces_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("forecast", "forecast_var", "residual", "a_hat", "s", "sigma2_eff", "cum_sq_err"):
+            assert getattr(a, name) == getattr(b, name), (a.t, name)
+        for name in ("b_hat", "sigma_diag", "theta", "cov"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
+
+
+def test_default_viking_cell_is_the_filter_with_its_own_defaults():
+    cfg = ExperimentConfig(ExperimentKind.WS_IID, Method.VIKING, n=60, seeds=(3,))
+    [point] = grid_points(cfg)
+    assert point.label == f"rho_a={vk.VikingHyper.rho_a:.6g},rho_b={vk.VikingHyper.rho_b:.6g}"
+    ds = make_dataset(cfg, 3)
+    transform = vk.NoiseTransform.diagonal(ds.d)
+    direct, _ = vk.viking_run(ds, vk.VikingHyper(transform, np.eye(ds.d)),
+                              init=vk.default_initial_state(transform, seed=3))
+    _assert_traces_identical(run_cell(cfg, point, ds, 3), direct)
+
+
+def test_resonator_defaults_come_from_its_table():
+    cfg = ExperimentConfig(ExperimentKind.RESONATOR, Method.VIKING, n=40, seeds=(1,))
+    [point] = grid_points(cfg)
+    assert point.label == "rho_a=0.00247875,rho_b=0"
+    ds = make_dataset(cfg, 1)
+    b_known = np.expm1(ds.truth.q_diag[0])
+    for rec in run_cell(cfg, point, ds, 1):
+        # learn_b off: f(b) stays pinned to the recorded noise, with no latent uncertainty
+        np.testing.assert_array_equal(rec.b_hat, b_known)
+        assert not rec.sigma_diag.any()
+    learned = run_cell(replace(cfg, learn_b=True), point, ds, 1)
+    assert all(rec.sigma_diag.all() for rec in learned)

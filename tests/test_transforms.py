@@ -180,3 +180,26 @@ def test_combined_matches_separate_calls():
     grad, H = psi_gradient_hessian_bound(transform, b, B, C)
     np.testing.assert_array_equal(grad, psi_gradient(transform, b, B, C))
     np.testing.assert_array_equal(H, psi_hessian_bound(transform, b, B, C))
+
+
+def test_phi_family_is_elementwise():
+    b = np.array([-2.0, 0.0, 0.5, 3.0])
+    for fn in (phi, phi_d1, phi_d2):
+        assert isinstance(fn(0.5), float)
+        np.testing.assert_array_equal(fn(b), [fn(float(v)) for v in b])
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_scalar_kind_matches_its_trace_forms(d):
+    # the scalar kind runs the diagonal path and sums it back onto its one
+    # latent, in another order than the trace forms: equal up to rounding
+    rng = np.random.default_rng(300 + d)
+    for _ in range(20):
+        transform, b, B, KPK, C = _random_instance(rng, d, "scalar")
+        M = np.linalg.inv(C)
+        MBM = M @ B @ M
+        d1, d2 = 1.0 / (1.0 + b[0]), -1.0 / (1.0 + b[0]) ** 2
+        grad, H = psi_gradient_hessian_bound(transform, b, B, C)
+        assert grad[0] == pytest.approx(np.trace(M - MBM) * d1, rel=1e-10, abs=1e-12)
+        want = -np.trace(MBM) * d2 + 2.0 * np.trace(M @ MBM) * d1 * d1
+        assert H[0, 0] == pytest.approx(want, rel=1e-10)
