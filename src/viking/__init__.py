@@ -42,7 +42,7 @@ from .linalg import (
     spd_inv,
     spd_inversion_count,
 )
-from .records import StepRecord, read_trace_csv, write_trace_csv
+from .records import StepRecord, Trace, read_trace_csv, write_trace_csv
 from .transforms import (
     NoiseTransform,
     TransformKind,

@@ -36,8 +36,9 @@ from .datagen import (
     gen_wellspecified,
     resonator_transition,
 )
-from .kalman import GaussianState, kalman_run
-from .records import StepRecord, fmt, write_trace_csv
+from .kalman import GaussianState, kalman_run_batch
+from .linalg import SingularMatrixError
+from .records import StepRecord, Trace, fmt, write_trace_csv
 from .transforms import NoiseTransform
 from .vb import VikingHyper, default_initial_state, viking_run
 
@@ -111,12 +112,15 @@ class ExperimentConfig:
             raise ValueError("grids must be non-empty")
 
 
-def mse_second_half(trace: list[StepRecord]) -> float:
+def mse_second_half(trace: Trace | list[StepRecord]) -> float:
     """Mean squared one-step forecast error over steps strictly past n/2."""
     n = len(trace)
     if n < 2:
         raise ValueError("trace must have length >= 2")
-    resid = np.array([r.residual for r in trace[n // 2:]])
+    if isinstance(trace, Trace):
+        resid = trace.residual[n // 2:]
+    else:
+        resid = np.array([r.residual for r in trace[n // 2:]])
     return float(np.mean(resid * resid))
 
 
@@ -197,32 +201,59 @@ def _constant_q_matrix(shape: QShape, q: float, d: int) -> np.ndarray:
     return q * np.eye(d)
 
 
-def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) -> list[StepRecord]:
-    """One (grid point, seed) run over an already generated dataset."""
-    d = ds.d
+def _kalman_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Dataset],
+                  keep_state: bool) -> list[Trace]:
+    """The Kalman cells of one grid point, one per dataset, in one batched
+    recursion; each trace is the one its cell gets alone. ``keep_state`` adds
+    the ``theta``/``cov`` columns."""
+    x = np.stack([ds.x for ds in datasets], axis=1)
+    y = np.stack([ds.y for ds in datasets], axis=1)
+    d = x.shape[-1]
     K = transition_for(cfg, d)
-    if cfg.method is Method.VIKING:
-        transform = (NoiseTransform.scalar(d) if cfg.setting is Setting.SCALAR
-                     else NoiseTransform.diagonal(d))
-        fields = {**_viking_fields(cfg), "rho_a": point.rho_a, "rho_b": point.rho_b}
-        hyper = VikingHyper(transform, K, n_mc=cfg.n_mc, n_iter=cfg.n_iter, **fields)
-        init = _set_fields(**vars(cfg.init))
-        if cfg.experiment is ExperimentKind.RESONATOR and not hyper.learn_b:
-            q_known = ds.truth.q_diag[0]
-            pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
-            init = {"q0": pinned, "sigma0": 0.0, **init}
-        trace, _ = viking_run(ds, hyper, init=default_initial_state(transform, seed=seed, **init))
-        return trace
     init = GaussianState(np.zeros(d), cfg.init.p0 * np.eye(d))
     if cfg.method is Method.KALMAN_ORACLE:
-        if ds.truth is None:
+        if any(ds.truth is None for ds in datasets):
             raise ValueError("the known-variance oracle needs recorded truth")
-        qs = np.zeros((ds.n, d, d))
+        qs = np.zeros((len(x), len(datasets), d, d))
         idx = np.arange(d)
-        qs[:, idx, idx] = ds.truth.q_diag
-        return kalman_run(ds, K, qs, ds.truth.sigma2, init=init)
+        qs[:, :, idx, idx] = np.stack([ds.truth.q_diag for ds in datasets], axis=1)
+        sigma2 = np.stack([ds.truth.sigma2 for ds in datasets], axis=1)
+        return kalman_run_batch(x, y, K, qs, sigma2, init, keep_state)
     Q = _constant_q_matrix(point.shape, point.q, d)
-    return kalman_run(ds, K, Q, cfg.sigma2_const, init=init)
+    return kalman_run_batch(x, y, K, Q, float(cfg.sigma2_const), init, keep_state)
+
+
+def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) -> Trace:
+    """One (grid point, seed) run over an already generated dataset."""
+    d = ds.d
+    if cfg.method is not Method.VIKING:
+        return _kalman_cells(cfg, point, [ds], keep_state=True)[0]
+    transform = (NoiseTransform.scalar(d) if cfg.setting is Setting.SCALAR
+                 else NoiseTransform.diagonal(d))
+    fields = {**_viking_fields(cfg), "rho_a": point.rho_a, "rho_b": point.rho_b}
+    hyper = VikingHyper(transform, transition_for(cfg, d), n_mc=cfg.n_mc, n_iter=cfg.n_iter, **fields)
+    init = _set_fields(**vars(cfg.init))
+    if cfg.experiment is ExperimentKind.RESONATOR and not hyper.learn_b:
+        q_known = ds.truth.q_diag[0]
+        pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
+        init = {"q0": pinned, "sigma0": 0.0, **init}
+    trace, _ = viking_run(ds, hyper, init=default_initial_state(transform, seed=seed, **init))
+    return trace
+
+
+def _point_cells(cfg: ExperimentConfig, point: GridPoint, datasets: dict[int, Dataset]) -> list[Trace]:
+    """One trace per seed at ``point``, without the ``theta``/``cov`` columns.
+    A singular matrix names the seed and the grid point."""
+    if cfg.method is not Method.VIKING:
+        return _kalman_cells(cfg, point, [datasets[seed] for seed in cfg.seeds], keep_state=False)
+    traces = []
+    for seed in cfg.seeds:
+        try:
+            trace = run_cell(cfg, point, datasets[seed], seed)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"seed {seed}, {point.label}, {exc}") from exc
+        traces.append(replace(trace, theta=None, cov=None))
+    return traces
 
 
 @dataclass
@@ -254,26 +285,28 @@ def _stderr(values: np.ndarray) -> float:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentSummary:
     """Evaluate every grid point over the configured seeds.
 
-    When ``out_dir`` is given, per-seed traces of the selected grid point and
-    the grid summary are written under
+    Every (grid point, seed) cell runs once; the Kalman methods run the seeds
+    of a grid point in one batched recursion. When ``out_dir`` is given,
+    per-seed traces of the selected grid point (from that same run; only the
+    best point's so far are kept) and the grid summary are written under
     ``<out>/<experiment>/<method>-<setting>/``.
     """
     points = grid_points(cfg)
     datasets = {seed: make_dataset(cfg, seed) for seed in cfg.seeds}
     rows: list[SummaryRow] = []
-    mses = np.empty((len(points), len(cfg.seeds)))
+    best, best_traces = 0, []
     for i, point in enumerate(points):
-        for j, seed in enumerate(cfg.seeds):
-            mses[i, j] = mse_second_half(run_cell(cfg, point, datasets[seed], seed))
+        traces = _point_cells(cfg, point, datasets)
+        mses = np.array([mse_second_half(trace) for trace in traces])
         rows.append(SummaryRow(cfg.method.value, cfg.setting.value, point.label,
-                               float(mses[i].mean()), _stderr(mses[i])))
-    best = min(range(len(points)), key=lambda i: (rows[i].mean_mse, i))
+                               float(mses.mean()), _stderr(mses)))
+        if i == 0 or rows[i].mean_mse < rows[best].mean_mse:
+            best, best_traces = i, traces
     summary = ExperimentSummary(cfg.experiment.value, rows, best)
     if out_dir is not None:
         cell_dir = Path(out_dir) / cfg.experiment.value / f"{cfg.method.value}-{cfg.setting.value}"
         cell_dir.mkdir(parents=True, exist_ok=True)
-        for seed in cfg.seeds:
-            trace = run_cell(cfg, points[best], datasets[seed], seed)
+        for seed, trace in zip(cfg.seeds, best_traces):
             write_trace_csv(trace, cell_dir / f"seed{seed}.csv")
         write_summary_csv(summary, cell_dir / "summary.csv")
     return summary

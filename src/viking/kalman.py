@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym
-from .records import StepRecord, fill_cum_sq_err
+from .records import Trace, split_traces
 
 
 @dataclass
@@ -23,9 +23,6 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.mean.copy(), self.cov.copy())
 
     def validate(self, sym_rtol: float = 1e-12, eig_rtol: float = 1e-10) -> None:
         scale = max(float(np.abs(self.cov).max()), 1e-300)
@@ -36,52 +33,83 @@ class GaussianState:
             raise ValueError("covariance has a significantly negative eigenvalue")
 
 
-def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff: float,
-                    x: np.ndarray, y: float) -> GaussianState:
-    """Posterior from one scalar observation ``y = x.theta + noise(sigma_eff)``."""
-    cx = prior_cov @ x
-    denom = float(x @ cx) + sigma_eff
-    post_cov = sym(prior_cov - cx[:, None] * (cx / denom))
-    resid = y - float(x @ prior_mean)
-    post_mean = prior_mean + (post_cov @ x) * (resid / sigma_eff)
+def quad_form(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m @ x``, evaluated left to right, for each vector and matrix of two stacks."""
+    return (x[..., None, :] @ m @ x[..., :, None])[..., 0, 0]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for each matrix and vector of two stacks (the same bits as one by one)."""
+    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u @ v`` for each pair of vectors of two stacks (the same bits as one by one)."""
+    return u @ v if u.ndim == 1 else (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff,
+                    x: np.ndarray, y) -> GaussianState:
+    """Posterior from one scalar observation ``y = x.theta + noise(sigma_eff)``.
+
+    Every argument may carry the same leading (filter) axes; each filter's
+    arithmetic is the same as when it is passed alone.
+    """
+    cx = _matvec(prior_cov, x)
+    denom = _dot(x, cx) + sigma_eff
+    post_cov = sym(prior_cov - cx[..., :, None] * (cx / denom[..., None])[..., None, :])
+    resid = y - _dot(x, prior_mean)
+    post_mean = prior_mean + _matvec(post_cov, x) * (resid / sigma_eff)[..., None]
     return GaussianState(post_mean, post_cov)
 
 
 def _check_psd(Q: np.ndarray) -> None:
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+    """Every matrix of ``Q`` (one, or a stack) is square, symmetric and PSD."""
+    if Q.ndim < 2 or Q.shape[-2] != Q.shape[-1]:
         raise ValueError(f"state-noise matrix must be square, got shape {Q.shape}")
-    scale = max(float(np.abs(Q).max()), 1.0)
-    if float(np.abs(Q - Q.T).max()) > 1e-10 * scale:
+    scale = np.maximum(np.abs(Q).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(Q - Q.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError("state-noise matrix is not symmetric")
-    if float(np.linalg.eigvalsh(sym(Q)).min()) < -1e-10 * scale:
+    if np.any(np.linalg.eigvalsh(sym(Q)).min(axis=-1) < -1e-10 * scale):
         raise ValueError("state-noise matrix is not positive semidefinite")
+
+
+def _check_sigma2(sigma2) -> None:
+    if not np.all(np.asarray(sigma2) > 0.0):  # NaN fails too
+        raise ValueError(f"observation variance must be > 0, got {np.min(sigma2)}")
+
+
+def _predict_update(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2,
+                    x: np.ndarray, y) -> tuple[GaussianState, np.ndarray, np.ndarray]:
+    """One unchecked predict/update cycle; arguments may carry leading filter axes."""
+    prior_mean = _matvec(K, state.mean)
+    prior_cov = sym(K @ state.cov @ K.T) + Q
+    prediction = _dot(x, prior_mean)
+    pred_var = quad_form(x, prior_cov) + sigma2
+    return rank_one_update(prior_mean, prior_cov, sigma2, x, y), prediction, pred_var
 
 
 def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: float,
                 x: np.ndarray, y: float) -> tuple[GaussianState, float, float]:
     """One predict/update cycle; returns (posterior, prediction, pred_var)."""
-    if sigma2 <= 0.0:
-        raise ValueError(f"observation variance must be > 0, got {sigma2}")
+    _check_sigma2(sigma2)
     _check_psd(Q)
-    prior_mean = K @ state.mean
-    prior_cov = sym(K @ state.cov @ K.T) + Q
-    prediction = float(x @ prior_mean)
-    pred_var = float(x @ prior_cov @ x) + sigma2
-    post = rank_one_update(prior_mean, prior_cov, float(sigma2), x, y)
-    return post, prediction, pred_var
+    post, prediction, pred_var = _predict_update(state, K, Q, float(sigma2), x, y)
+    return post, float(prediction), float(pred_var)
 
 
-def _normalize_q_schedule(Q_schedule, n: int, d: int) -> list[np.ndarray]:
+def _normalize_q_schedule(Q_schedule, n: int, d: int) -> np.ndarray:
+    """``(d, d)`` for a constant matrix, else the ``(n, d, d)`` stack."""
     arr = np.asarray(Q_schedule, dtype=float)
     if arr.ndim == 2:
         if arr.shape != (d, d):
             raise ValueError(f"constant Q has shape {arr.shape}, expected ({d}, {d})")
-        return [arr] * n
+        return arr
     if arr.ndim != 3:
         raise ValueError("Q schedule must be a (d,d) matrix or an (n,d,d) stack")
     if len(arr) != n:
         raise ValueError(f"Q schedule has length {len(arr)}, expected {n}")
-    return list(arr)
+    return arr
 
 
 def _normalize_sigma2_schedule(sigma2_schedule, n: int) -> np.ndarray:
@@ -93,9 +121,38 @@ def _normalize_sigma2_schedule(sigma2_schedule, n: int) -> np.ndarray:
     return arr
 
 
+def kalman_run_batch(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray,
+                     sigma2: np.ndarray, init: GaussianState, keep_state: bool = False) -> list[Trace]:
+    """Run B filters in one recursion, filter ``b`` on series ``x[:, b]``,
+    ``y[:, b]``; one trace per filter.
+
+    ``x`` is ``(n, B, d)`` and ``y`` ``(n, B)``. ``Q`` is one ``(d, d)``
+    matrix for every filter and step, or ``(n, B, d, d)``; ``sigma2`` is
+    ``(n, B)`` or broadcasts to it. Every Q and sigma2 is validated once, up
+    front. ``keep_state`` adds the ``theta``/``cov`` columns. Each filter's
+    trace is the one it gets alone.
+    """
+    n, B, d = x.shape
+    if K.shape != (d, d):
+        raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d})")
+    _check_psd(Q)
+    sigma2 = np.broadcast_to(sigma2, (n, B))
+    _check_sigma2(sigma2)
+    state = GaussianState(np.broadcast_to(init.mean, (B, d)), np.broadcast_to(init.cov, (B, d, d)))
+    forecast, forecast_var = np.empty((n, B)), np.empty((n, B))
+    theta, cov = (np.empty((n, B, d)), np.empty((n, B, d, d))) if keep_state else (None, None)
+    for t in range(n):
+        state, forecast[t], forecast_var[t] = _predict_update(
+            state, K, Q if Q.ndim == 2 else Q[t], sigma2[t], x[t], y[t])
+        if keep_state:
+            theta[t], cov[t] = state.mean, state.cov
+    return split_traces(np.arange(n), y, forecast, forecast_var, np.log(sigma2),
+                        np.zeros((n, B)), sigma2, theta=theta, cov=cov)
+
+
 def kalman_run(series, K: np.ndarray, Q_schedule, sigma2_schedule,
-               init: GaussianState | None = None) -> list[StepRecord]:
-    """Run the filter over a dataset; one record per step.
+               init: GaussianState | None = None) -> Trace:
+    """Run the filter over a dataset; one trace row per step.
 
     Schedules may be constants or per-step sequences of length ``n``.
     """
@@ -104,15 +161,7 @@ def kalman_run(series, K: np.ndarray, Q_schedule, sigma2_schedule,
         raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d})")
     qs = _normalize_q_schedule(Q_schedule, n, d)
     sig = _normalize_sigma2_schedule(sigma2_schedule, n)
-    state = init.copy() if init is not None else GaussianState(np.zeros(d), np.eye(d))
-    trace: list[StepRecord] = []
-    for t in range(n):
-        y = float(series.y[t])
-        state, prediction, pred_var = kalman_step(state, K, qs[t], float(sig[t]), series.x[t], y)
-        trace.append(StepRecord(
-            t=t, y=y, forecast=prediction, forecast_var=pred_var, residual=y - prediction,
-            a_hat=float(np.log(sig[t])), s=0.0, sigma2_eff=float(sig[t]),
-            b_hat=None, sigma_diag=None, cum_sq_err=0.0,
-            theta=state.mean.copy(), cov=state.cov.copy(),
-        ))
-    return fill_cum_sq_err(trace)
+    init = init if init is not None else GaussianState(np.zeros(d), np.eye(d))
+    return kalman_run_batch(series.x[:, None], series.y[:, None], K,
+                            qs if qs.ndim == 2 else qs[:, None], sig[:, None], init,
+                            keep_state=True)[0]

@@ -34,8 +34,8 @@ def reset_spd_inversion_count() -> None:
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part of a square matrix."""
-    return 0.5 * (m + m.T)
+    """Symmetric part of a square matrix, or of each in a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 _eye_cache: dict[int, np.ndarray] = {}
@@ -101,12 +101,11 @@ def spd_inv_batch(ms: np.ndarray) -> np.ndarray:
     so each one gets its own jitter retry.
     """
     global _inversions
-    k, d = ms.shape[0], ms.shape[1]
     try:
         chol = np.linalg.cholesky(ms)
     except np.linalg.LinAlgError:
         return np.stack([spd_inv(m) for m in ms])
-    chol_inv = np.linalg.solve(chol, np.broadcast_to(np.eye(d), (k, d, d)).copy())
+    chol_inv = np.linalg.inv(chol)
     inv = chol_inv.transpose(0, 2, 1) @ chol_inv
-    _inversions += k
+    _inversions += len(ms)
     return 0.5 * (inv + inv.transpose(0, 2, 1))

@@ -1,4 +1,4 @@
-"""Per-step filter trace records and their CSV round trip.
+"""Filter traces: one array per column, with a per-step record as the row view.
 
 The CSV layout is ``t,y,forecast,forecast_var,residual,a_hat,s,sigma2_eff,
 b1..bm,Sigma1..Sigmam,cum_sq_err`` with the latent columns present only for
@@ -8,7 +8,7 @@ significant digits so values round-trip exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,53 +35,122 @@ class StepRecord:
     cov: np.ndarray | None = field(default=None, repr=False)
 
 
-def fill_cum_sq_err(trace: list[StepRecord]) -> list[StepRecord]:
-    """Running squared residual over the steps past ``n // 2``; 0 before them."""
-    half, cum = len(trace) // 2, 0.0
-    for t, rec in enumerate(trace):
-        if t >= half:
-            cum += rec.residual * rec.residual
-        rec.cum_sq_err = cum
-    return trace
+@dataclass(eq=False)
+class Trace:
+    """A run's per-step outputs, one array per :class:`StepRecord` field.
+
+    Scalar columns have shape ``(n,)``; ``b_hat``/``sigma_diag`` are
+    ``(n, m)`` or ``None`` for traces without noise latents, and the state
+    columns ``theta`` ``(n, d)`` and ``cov`` ``(n, d, d)`` are optional.
+    ``trace[t]`` is the :class:`StepRecord` of step ``t``; slices are traces.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    forecast: np.ndarray
+    forecast_var: np.ndarray
+    residual: np.ndarray
+    a_hat: np.ndarray
+    s: np.ndarray
+    sigma2_eff: np.ndarray
+    b_hat: np.ndarray | None
+    sigma_diag: np.ndarray | None
+    cum_sq_err: np.ndarray
+    theta: np.ndarray | None = field(default=None, repr=False)
+    cov: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_records(cls, records: list[StepRecord]) -> "Trace":
+        """The columns of a run's records; ``cum_sq_err`` is recomputed from the residuals."""
+        trace = cls(*(None if records and getattr(records[0], name) is None
+                      else np.array([getattr(r, name) for r in records], dtype=int if name == "t" else float)
+                      for name in _FIELDS))
+        trace.cum_sq_err = cum_sq_err(trace.residual)
+        return trace
+
+    def columns(self) -> list[np.ndarray | None]:
+        return [getattr(self, name) for name in _FIELDS]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Trace(*(None if c is None else c[key] for c in self.columns()))
+        return StepRecord(*(None if c is None else c[key] if c.ndim > 1 else c[key].item()
+                            for c in self.columns()))
+
+    def __iter__(self):
+        # scalar columns as Python lists once, not one item per row and column
+        cols = [None if c is None else c.tolist() if c.ndim == 1 else c for c in self.columns()]
+        return (StepRecord(*(None if c is None else c[i] for c in cols)) for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        """Row by row, so a trace also equals a list of the same records."""
+        if not isinstance(other, (Trace, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            all(np.array_equal(u, v) for u, v in zip(vars(a).values(), vars(b).values()))
+            for a, b in zip(self, other))
+
+
+_FIELDS = tuple(f.name for f in fields(Trace))
+
+
+def cum_sq_err(residual: np.ndarray) -> np.ndarray:
+    """Running squared residual over the steps past ``n // 2``, 0 before them.
+
+    Runs along the first (step) axis, so a ``(n, B)`` block of residuals
+    gives each of its B columns its own running sum.
+    """
+    out = np.zeros(residual.shape)
+    tail = residual[len(residual) // 2:]
+    np.cumsum(tail * tail, axis=0, out=out[len(residual) // 2:])
+    return out
+
+
+def split_traces(steps: np.ndarray, y: np.ndarray, forecast: np.ndarray, forecast_var: np.ndarray,
+                 a_hat: np.ndarray, s: np.ndarray, sigma2_eff: np.ndarray, b_hat=None, sigma_diag=None,
+                 theta=None, cov=None) -> list[Trace]:
+    """One trace per filter from step-major ``(n, B, ...)`` columns, adding
+    each filter's residual and running second-half error."""
+    residual = y - forecast
+    cum = cum_sq_err(residual)
+    columns = (y, forecast, forecast_var, residual, a_hat, s, sigma2_eff, b_hat, sigma_diag, cum, theta, cov)
+    return [Trace(steps, *(None if c is None else c[:, b] for c in columns)) for b in range(forecast.shape[1])]
 
 
 def fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_trace_csv(records: list[StepRecord], path: str | Path) -> None:
-    m = 0
-    if records and records[0].b_hat is not None:
-        m = len(records[0].b_hat)
+def write_trace_csv(trace: Trace, path: str | Path) -> None:
+    m = 0 if trace.b_hat is None else trace.b_hat.shape[1]
     header = list(BASE_COLUMNS)
     header += [f"b{j + 1}" for j in range(m)]
     header += [f"Sigma{j + 1}" for j in range(m)]
     header.append("cum_sq_err")
-    lines = [",".join(header)]
-    for r in records:
-        row = [str(r.t), fmt(r.y), fmt(r.forecast), fmt(r.forecast_var), fmt(r.residual),
-               fmt(r.a_hat), fmt(r.s), fmt(r.sigma2_eff)]
-        if m:
-            row += [fmt(v) for v in r.b_hat]
-            row += [fmt(v) for v in r.sigma_diag]
-        row.append(fmt(r.cum_sq_err))
-        lines.append(",".join(row))
+    columns = [trace.t, trace.y, trace.forecast, trace.forecast_var, trace.residual,
+               trace.a_hat, trace.s, trace.sigma2_eff]
+    if m:
+        columns += [trace.b_hat, trace.sigma_diag]
+    columns.append(trace.cum_sq_err)
+    row_fmt = "%d" + ",%.17g" * (len(header) - 1)  # the same digits as fmt()
+    rows = np.column_stack(columns).tolist()
+    lines = [",".join(header)] + [row_fmt % tuple(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_trace_csv(path: str | Path) -> list[StepRecord]:
+def read_trace_csv(path: str | Path) -> Trace:
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     header = lines[0].split(",")
     m = sum(1 for name in header if name.startswith("b") and name[1:].isdigit())
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        vals = [float(p) for p in parts[1:]]
-        b_hat = np.array(vals[7:7 + m]) if m else None
-        sigma_diag = np.array(vals[7 + m:7 + 2 * m]) if m else None
-        records.append(StepRecord(
-            t=int(parts[0]), y=vals[0], forecast=vals[1], forecast_var=vals[2],
-            residual=vals[3], a_hat=vals[4], s=vals[5], sigma2_eff=vals[6],
-            b_hat=b_hat, sigma_diag=sigma_diag, cum_sq_err=vals[7 + 2 * m],
-        ))
-    return records
+    vals = np.array([[float(p) for p in line.split(",")] for line in lines[1:]]).reshape(-1, len(header))
+    col = dict(zip(BASE_COLUMNS, vals.T))
+    return Trace(
+        t=vals[:, 0].astype(int), y=col["y"], forecast=col["forecast"],
+        forecast_var=col["forecast_var"], residual=col["residual"], a_hat=col["a_hat"],
+        s=col["s"], sigma2_eff=col["sigma2_eff"],
+        b_hat=vals[:, 8:8 + m] if m else None, sigma_diag=vals[:, 8 + m:8 + 2 * m] if m else None,
+        cum_sq_err=vals[:, 8 + 2 * m],
+    )

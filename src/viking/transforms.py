@@ -7,10 +7,11 @@ the diagonal (diagonal kind). Keeping the active branch concave is what makes
 belief uncertainty shrink, rather than inflate, the filter's effective step.
 
 ``psi_value`` is the objective ``logdet(C(b)) + tr(B C(b)^-1)`` with
-``C(b) = KPK + f(b)``. ``psi_gradient`` returns its gradient at an expansion
-point and ``psi_hessian_bound`` a symmetric PSD matrix dominating its Hessian
-there; both take ``C`` precomputed so callers control how often it is
-factored. At the kink ``b = 0`` the derivative helpers use the right limits
+``C(b) = KPK + f(b)``. ``psi_gradient_hessian_bound`` returns its gradient at
+an expansion point and a symmetric PSD matrix dominating its Hessian there,
+from one inverse of ``C`` (precomputed, so callers control how often it is
+factored); ``psi_gradient`` and ``psi_hessian_bound`` are its two halves.
+At the kink ``b = 0`` the derivative helpers use the right limits
 (``phi_d1(0) = 1``, ``phi_d2(0) = -1``), which keeps the update formulas
 continuous as a clamped latent approaches zero from above.
 """
@@ -124,20 +125,6 @@ def _fold(transform: NoiseTransform, v: np.ndarray) -> np.ndarray:
     return v if transform.latent_dim == transform.dim else np.full((1,) * v.ndim, v.sum())
 
 
-def _gradient_from_inv(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C_inv: np.ndarray) -> np.ndarray:
-    G = C_inv - C_inv @ B @ C_inv
-    return _fold(transform, np.diagonal(G) * phi_d1(b_hat))
-
-
-def _hessian_bound_from_inv(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C_inv: np.ndarray) -> np.ndarray:
-    MBM = C_inv @ B @ C_inv
-    d1 = phi_d1(b_hat)
-    H = 2.0 * MBM * C_inv * (d1[:, None] * d1)
-    d = transform.dim
-    H.reshape(d * d)[::d + 1] -= np.diagonal(MBM) * phi_d2(b_hat)
-    return _fold(transform, sym(H))
-
-
 def _check_expansion_point(b_hat: np.ndarray) -> None:
     if np.any(b_hat <= 0.0):
         raise ValueError(
@@ -145,10 +132,30 @@ def _check_expansion_point(b_hat: np.ndarray) -> None:
         )
 
 
+def _derivatives(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray,
+                 bound: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient, and the Hessian bound if ``bound``, from one inverse of ``C``.
+
+    ``C^-1 B C^-1`` and ``phi'(b_hat)`` are formed once and shared by both.
+    """
+    b_hat = _check_latent(transform, b_hat)
+    if bound:
+        _check_expansion_point(b_hat)
+    C_inv = spd_inv(C)
+    MBM = C_inv @ B @ C_inv
+    d1 = phi_d1(b_hat)
+    grad = _fold(transform, np.diagonal(C_inv - MBM) * d1)
+    if not bound:
+        return grad, None
+    H = 2.0 * MBM * C_inv * (d1[:, None] * d1)
+    d = transform.dim
+    H.reshape(d * d)[::d + 1] -= np.diagonal(MBM) * phi_d2(b_hat)
+    return grad, _fold(transform, sym(H))
+
+
 def psi_gradient(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Gradient of ``psi`` at ``b_hat``, with ``C = KPK + f(b_hat)`` precomputed."""
-    b_hat = _check_latent(transform, b_hat)
-    return _gradient_from_inv(transform, b_hat, B, spd_inv(C))
+    return _derivatives(transform, b_hat, B, C, bound=False)[0]
 
 
 def psi_hessian_bound(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -157,19 +164,11 @@ def psi_hessian_bound(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarra
     Requires every coordinate of ``b_hat`` strictly positive (callers clamp
     their latents to a small positive floor before evaluating this).
     """
-    b_hat = _check_latent(transform, b_hat)
-    _check_expansion_point(b_hat)
-    return _hessian_bound_from_inv(transform, b_hat, B, spd_inv(C))
+    return _derivatives(transform, b_hat, B, C, bound=True)[1]
 
 
 def psi_gradient_hessian_bound(
     transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian bound sharing a single factorization of ``C``."""
-    b_hat = _check_latent(transform, b_hat)
-    _check_expansion_point(b_hat)
-    C_inv = spd_inv(C)
-    return (
-        _gradient_from_inv(transform, b_hat, B, C_inv),
-        _hessian_bound_from_inv(transform, b_hat, B, C_inv),
-    )
+    return _derivatives(transform, b_hat, B, C, bound=True)

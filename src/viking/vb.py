@@ -10,8 +10,11 @@ posterior, alternating ``n_iter`` coordinate passes:
    current belief over ``b`` (``n_mc`` draws).
 2. Exact state moment update given ``A`` (a Kalman-style rank-one update with
    effective observation variance ``exp(a_hat - s/2)``).
-3./4. Closed-form minimizers of quadratic upper bounds for the observation
-   variance latent's posterior variance ``s`` and mean ``a_hat``.
+3. Closed-form minimizer of a surrogate for the observation-variance latent's
+   posterior variance ``s``: the convex ``e^(s/2)`` term is replaced by its
+   tangent at ``s = 0``, a lower bound (see :func:`update_s`).
+4. Closed-form minimizer of a quadratic upper bound for its mean ``a_hat``,
+   valid on the clamp interval.
 5. Quadratic-bound step for the state-noise latent: gradient and a dominating
    PSD curvature matrix of the log-det objective, expanded at the previous
    step's latent, followed by a nonnegativity clamp.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .kalman import GaussianState, rank_one_update
 from .linalg import SingularMatrixError, eye, spd_inv, spd_inv_batch, sym
-from .records import StepRecord, fill_cum_sq_err
+from .records import StepRecord, Trace
 from .rng import STREAM_FILTER, make_rng
 from .transforms import (
     NoiseTransform,
@@ -157,11 +160,17 @@ def update_state_moments(A_inv: np.ndarray, a_hat: float, s: float,
 
 
 def update_s(r2: float, a_hat: float, s_prior: float) -> float:
-    """Closed-form bound minimizer for the latent's posterior variance.
+    """Closed-form minimizer of the latent's posterior-variance surrogate.
 
     ``r2`` is the expected squared residual ``(y - theta.x)^2 + x'Px``;
-    ``s_prior`` is the propagated prior variance. The result is always in
-    ``(0, s_prior]`` (clamped against the one-ulp double-reciprocal overshoot).
+    ``s_prior`` is the propagated prior variance. The exact s-objective is
+    ``r2 e^(-a_hat + s/2) / 2 + s / (2 s_prior) - log(s) / 2``; its first
+    term is replaced by the tangent at ``s = 0``, ``r2 e^(-a_hat) (1 + s/2) / 2``.
+    The term is convex in ``s``, so the tangent is a *lower* bound on it, not
+    an upper one, and the surrogate's minimizer lies between the exact
+    minimizer and ``s_prior``: it never raises the exact objective above its
+    value at ``s_prior``. The result is always in ``(0, s_prior]`` (clamped
+    against the one-ulp double-reciprocal overshoot).
     """
     return min(1.0 / (1.0 / s_prior + 0.5 * r2 * math.exp(-a_hat)), s_prior)
 
@@ -274,16 +283,16 @@ def _viking_step_inner(st: VikingState, hyper: VikingHyper, x: np.ndarray, y: fl
 
 
 def viking_run(series, hyper: VikingHyper, init: VikingState | None = None,
-               seed: int = 0) -> tuple[list[StepRecord], VikingState]:
-    """Run the filter over a dataset; fills the cumulative second-half error."""
+               seed: int = 0) -> tuple[Trace, VikingState]:
+    """Run the filter over a dataset; the trace includes the cumulative second-half error."""
     if series.d != hyper.transform.dim:
         raise ValueError(f"dataset dimension {series.d} does not match filter dimension {hyper.transform.dim}")
     st = init if init is not None else default_initial_state(hyper.transform, seed=seed)
-    trace: list[StepRecord] = []
+    records: list[StepRecord] = []
     for t in range(series.n):
         st, rec = viking_step(st, hyper, series.x[t], float(series.y[t]))
-        trace.append(rec)
-    return fill_cum_sq_err(trace), st
+        records.append(rec)
+    return Trace.from_records(records), st
 
 
 def state_to_checkpoint(st: VikingState) -> dict:

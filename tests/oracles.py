@@ -116,8 +116,34 @@ def state_objective(theta: np.ndarray, P: np.ndarray, A: np.ndarray, prior_mean:
 
 
 def s_bound(s: float, r2: float, a_hat: float, s_prior: float) -> float:
-    """Upper bound minimized by the latent-variance update."""
+    """Surrogate minimized by the latent-variance update: :func:`s_objective`
+    with its convex ``r2 e^(-a_hat + s/2) / 2`` term replaced by the tangent
+    at ``s = 0``, a lower bound on that term (constant terms dropped)."""
     return 0.25 * r2 * math.exp(-a_hat) * s + 0.5 * s / s_prior - 0.5 * math.log(s)
+
+
+def s_objective(s: float, r2: float, a_hat: float, s_prior: float) -> float:
+    """Exact per-step objective in the latent's posterior variance ``s``."""
+    return 0.5 * r2 * math.exp(-a_hat + 0.5 * s) + 0.5 * s / s_prior - 0.5 * math.log(s)
+
+
+def s_objective_minimizer(r2: float, a_hat: float, s_prior: float) -> float:
+    """Minimizer of :func:`s_objective` on ``(0, s_prior]``, by bisection on its
+    increasing derivative (a lower end of the final bracket)."""
+    def slope(s):
+        return 0.25 * r2 * math.exp(-a_hat + 0.5 * s) + 0.5 / s_prior - 0.5 / s
+
+    if slope(s_prior) <= 0.0:
+        return s_prior
+    lo, hi = 0.0, s_prior
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if mid > 0.0 and slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def a_bound(a: float, r2: float, a_prev: float, s: float, s_prior: float, m_a: float) -> float:

@@ -124,3 +124,20 @@ def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "experimnt" in capsys.readouterr().err
     assert not (tmp_path / "ws-iid").exists()
+
+
+def test_module_entry_points_exit_1_on_bad_subcommand():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import viking
+
+    src = str(Path(viking.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for module in ("viking", "viking.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "bogus"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, (module, proc.returncode, proc.stderr)
+        assert "usage" in proc.stderr.lower()

@@ -430,3 +430,21 @@ def test_checkpoint_roundtrip_continues_identically():
         restored, rb = viking_step(restored, hyper, ds.x[t], float(ds.y[t]))
         assert ra.forecast == rb.forecast
         np.testing.assert_array_equal(ra.b_hat, rb.b_hat)
+
+
+def test_update_s_lowers_the_exact_objective():
+    # the surrogate's tangent is a lower bound on the convex exp term, so its
+    # minimizer sits between the exact minimizer and s_prior
+    from oracles import s_objective, s_objective_minimizer
+
+    rng = make_rng(12)
+    for _ in range(500):
+        r2 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        a_hat = float(rng.normal(scale=2.0))
+        s_prior = float(10.0 ** rng.uniform(-2.0, 0.5))
+        s_new = update_s(r2, a_hat, s_prior)
+        s_star = s_objective_minimizer(r2, a_hat, s_prior)
+        assert s_star <= s_new * (1.0 + 1e-12)
+        assert s_new <= s_prior
+        f_prior = s_objective(s_prior, r2, a_hat, s_prior)
+        assert s_objective(s_new, r2, a_hat, s_prior) <= f_prior + 1e-12 * abs(f_prior)
