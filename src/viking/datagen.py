@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import fmt
+from .records import read_table, write_table
 from .rng import (
     STREAM_DESIGN,
     STREAM_MIXTURE,
@@ -210,40 +210,25 @@ def gen_resonator(n: int, sigma_traj: np.ndarray, seed: int, theta0=None,
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     """CSV with header ``t,x1..xd,y[,sigma2,q1..qd,i]``; 17 significant digits."""
-    d = ds.d
-    header = ["t"] + [f"x{j + 1}" for j in range(d)] + ["y"]
-    has_truth = ds.truth is not None
-    has_mix = has_truth and ds.truth.mix is not None
-    if has_truth:
-        header += ["sigma2"] + [f"q{j + 1}" for j in range(d)]
-    if has_mix:
-        header.append("i")
-    lines = [",".join(header)]
-    for t in range(ds.n):
-        row = [str(t)] + [fmt(v) for v in ds.x[t]] + [fmt(ds.y[t])]
-        if has_truth:
-            row.append(fmt(ds.truth.sigma2[t]))
-            row += [fmt(v) for v in ds.truth.q_diag[t]]
-        if has_mix:
-            row.append(str(int(ds.truth.mix[t])))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["t"] + [f"x{j + 1}" for j in range(ds.d)] + ["y"]
+    columns = [np.arange(ds.n), ds.x, ds.y]
+    if ds.truth is not None:
+        header += ["sigma2"] + [f"q{j + 1}" for j in range(ds.d)]
+        columns += [ds.truth.sigma2, ds.truth.q_diag]
+        if ds.truth.mix is not None:
+            header.append("i")
+            columns.append(ds.truth.mix)
+    write_table(path, header, columns)
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
+    header, values = read_table(path)
+    if not len(values):
+        raise ValueError(f"{path}: no data rows")
     d = sum(1 for name in header if name.startswith("x") and name[1:].isdigit())
-    has_truth = "sigma2" in header
-    has_mix = header[-1] == "i"
-    rows = [line.split(",") for line in lines[1:]]
-    n = len(rows)
-    x = np.array([[float(v) for v in r[1:1 + d]] for r in rows])
-    y = np.array([float(r[1 + d]) for r in rows])
     truth = None
-    if has_truth:
-        sigma2 = np.array([float(r[2 + d]) for r in rows])
-        q_diag = np.array([[float(v) for v in r[3 + d:3 + 2 * d]] for r in rows])
-        mix = np.array([int(r[3 + 2 * d]) for r in rows]) if has_mix else None
-        truth = Truth(sigma2, q_diag, None, mix)
-    return Dataset(x, y, seed=-1, meta={"generator": "csv", "source": str(path), "n": n}, truth=truth)
+    if "sigma2" in header:
+        mix = values[:, 3 + 2 * d].astype(int) if header[-1] == "i" else None
+        truth = Truth(values[:, 2 + d].copy(), values[:, 3 + d:3 + 2 * d].copy(), None, mix)
+    return Dataset(values[:, 1:1 + d].copy(), values[:, 1 + d].copy(), seed=-1,
+                   meta={"generator": "csv", "source": str(path), "n": len(values)}, truth=truth)

@@ -36,10 +36,10 @@ from .datagen import (
     gen_wellspecified,
     resonator_transition,
 )
-from .kalman import GaussianState, kalman_run_batch
+from .kalman import P0, GaussianState, kalman_run_batch
 from .linalg import SingularMatrixError
-from .records import StepRecord, Trace, fmt, write_trace_csv
-from .transforms import NoiseTransform
+from .records import StepRecord, Trace, fmt, write_lines, write_table, write_trace_csv
+from .transforms import NoiseTransform, TransformKind as Setting  # Setting: the noise shape VIKING learns
 from .vb import VikingHyper, default_initial_state, viking_run
 
 DEFAULT_RHO_GRID = DEFAULT_Q_GRID = tuple(math.exp(-i) for i in range(1, 11))
@@ -59,11 +59,6 @@ class Method(Enum):
     KALMAN_CONSTANT = "kalman-constant"
 
 
-class Setting(Enum):
-    SCALAR = "scalar"
-    DIAGONAL = "diagonal"
-
-
 class QShape(Enum):
     MASKED = "masked"  # q * diag(0,0,1,1,1)
     FULL = "full"      # q * I
@@ -78,7 +73,7 @@ class InitOverrides:
     s0: float | None = None
     q0: float | None = None      # initial state-noise diagonal, f(b0)
     sigma0: float | None = None  # initial latent covariance scale
-    p0: float = 1.0
+    p0: float = P0
 
 
 @dataclass
@@ -228,8 +223,7 @@ def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) ->
     d = ds.d
     if cfg.method is not Method.VIKING:
         return _kalman_cells(cfg, point, [ds], keep_state=True)[0]
-    transform = (NoiseTransform.scalar(d) if cfg.setting is Setting.SCALAR
-                 else NoiseTransform.diagonal(d))
+    transform = NoiseTransform(cfg.setting, d)
     fields = {**_viking_fields(cfg), "rho_a": point.rho_a, "rho_b": point.rho_b}
     hyper = VikingHyper(transform, transition_for(cfg, d), n_mc=cfg.n_mc, n_iter=cfg.n_iter, **fields)
     init = _set_fields(**vars(cfg.init))
@@ -313,11 +307,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
 
 def write_summary_csv(summary: ExperimentSummary, path: str | Path) -> None:
-    lines = ["method,setting,grid,mean_mse,stderr_mse"]
-    for row in summary.rows:
-        lines.append(",".join([row.method, row.setting, row.grid,
-                               fmt(row.mean_mse), fmt(row.stderr_mse)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, ["method,setting,grid,mean_mse,stderr_mse"] + [
+        ",".join([row.method, row.setting, row.grid, fmt(row.mean_mse), fmt(row.stderr_mse)])
+        for row in summary.rows])
 
 
 def sweep_nmc(cfg: ExperimentConfig, nmc_list: list[int],
@@ -340,11 +332,8 @@ def sweep_nmc(cfg: ExperimentConfig, nmc_list: list[int],
     if out_dir is not None:
         sweep_dir = Path(out_dir) / "sweep-nmc"
         sweep_dir.mkdir(parents=True, exist_ok=True)
-        lines = ["n_mc,mean_mse,ratio"]
-        for nmc, mean, ratio in rows:
-            lines.append(",".join([str(nmc), fmt(mean), fmt(ratio)]))
-        path = sweep_dir / f"{cfg.experiment.value}-{cfg.setting.value}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_table(sweep_dir / f"{cfg.experiment.value}-{cfg.setting.value}.csv",
+                    ["n_mc", "mean_mse", "ratio"], list(zip(*rows)))
     return rows
 
 

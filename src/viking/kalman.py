@@ -16,6 +16,8 @@ import numpy as np
 from .linalg import sym
 from .records import Trace, split_traces
 
+P0 = 1.0  # initial state covariance scale, P0 * I, for every filter
+
 
 @dataclass
 class GaussianState:
@@ -98,45 +100,25 @@ def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: floa
     return post, float(prediction), float(pred_var)
 
 
-def _normalize_q_schedule(Q_schedule, n: int, d: int) -> np.ndarray:
-    """``(d, d)`` for a constant matrix, else the ``(n, d, d)`` stack."""
-    arr = np.asarray(Q_schedule, dtype=float)
-    if arr.ndim == 2:
-        if arr.shape != (d, d):
-            raise ValueError(f"constant Q has shape {arr.shape}, expected ({d}, {d})")
-        return arr
-    if arr.ndim != 3:
-        raise ValueError("Q schedule must be a (d,d) matrix or an (n,d,d) stack")
-    if len(arr) != n:
-        raise ValueError(f"Q schedule has length {len(arr)}, expected {n}")
-    return arr
-
-
-def _normalize_sigma2_schedule(sigma2_schedule, n: int) -> np.ndarray:
-    arr = np.asarray(sigma2_schedule, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ValueError(f"sigma2 schedule has shape {arr.shape}, expected ({n},)")
-    return arr
-
-
 def kalman_run_batch(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray,
-                     sigma2: np.ndarray, init: GaussianState, keep_state: bool = False) -> list[Trace]:
+                     sigma2: np.ndarray, init: GaussianState, keep_state: bool) -> list[Trace]:
     """Run B filters in one recursion, filter ``b`` on series ``x[:, b]``,
     ``y[:, b]``; one trace per filter.
 
     ``x`` is ``(n, B, d)`` and ``y`` ``(n, B)``. ``Q`` is one ``(d, d)``
     matrix for every filter and step, or ``(n, B, d, d)``; ``sigma2`` is
-    ``(n, B)`` or broadcasts to it. Every Q and sigma2 is validated once, up
-    front. ``keep_state`` adds the ``theta``/``cov`` columns. Each filter's
-    trace is the one it gets alone.
+    ``(n, B)`` or broadcasts to it. This is the one place schedules are
+    checked: every Q and sigma2 is validated once, up front. ``keep_state``
+    adds the ``theta``/``cov`` columns. Each filter's trace is the one it
+    gets alone.
     """
     n, B, d = x.shape
     if K.shape != (d, d):
         raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d})")
+    if Q.shape not in ((d, d), (n, B, d, d)):
+        raise ValueError(f"Q has shape {Q.shape}, expected ({d}, {d}) or ({n}, {B}, {d}, {d})")
     _check_psd(Q)
-    sigma2 = np.broadcast_to(sigma2, (n, B))
+    sigma2 = np.broadcast_to(sigma2, (n, B))  # a ValueError unless it broadcasts
     _check_sigma2(sigma2)
     state = GaussianState(np.broadcast_to(init.mean, (B, d)), np.broadcast_to(init.cov, (B, d, d)))
     forecast, forecast_var = np.empty((n, B)), np.empty((n, B))
@@ -150,18 +132,13 @@ def kalman_run_batch(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray,
                         np.zeros((n, B)), sigma2, theta=theta, cov=cov)
 
 
-def kalman_run(series, K: np.ndarray, Q_schedule, sigma2_schedule,
-               init: GaussianState | None = None) -> Trace:
-    """Run the filter over a dataset; one trace row per step.
+def kalman_run(series, K: np.ndarray, Q, sigma2, init: GaussianState | None = None) -> Trace:
+    """Run one filter over a dataset: :func:`kalman_run_batch` with B = 1.
 
-    Schedules may be constants or per-step sequences of length ``n``.
+    ``Q`` is a ``(d, d)`` matrix or an ``(n, d, d)`` stack; ``sigma2`` a
+    constant or an ``(n,)`` sequence. ``init`` defaults to N(0, P0 I).
     """
-    n, d = series.n, series.d
-    if K.shape != (d, d):
-        raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d})")
-    qs = _normalize_q_schedule(Q_schedule, n, d)
-    sig = _normalize_sigma2_schedule(sigma2_schedule, n)
-    init = init if init is not None else GaussianState(np.zeros(d), np.eye(d))
-    return kalman_run_batch(series.x[:, None], series.y[:, None], K,
-                            qs if qs.ndim == 2 else qs[:, None], sig[:, None], init,
-                            keep_state=True)[0]
+    Q = np.asarray(Q, dtype=float)
+    init = init if init is not None else GaussianState(np.zeros(series.d), P0 * np.eye(series.d))
+    return kalman_run_batch(series.x[:, None], series.y[:, None], K, Q[:, None] if Q.ndim == 3 else Q,
+                            np.asarray(sigma2, dtype=float)[..., None], init, keep_state=True)[0]

@@ -108,4 +108,4 @@ def spd_inv_batch(ms: np.ndarray) -> np.ndarray:
     chol_inv = np.linalg.inv(chol)
     inv = chol_inv.transpose(0, 2, 1) @ chol_inv
     _inversions += len(ms)
-    return 0.5 * (inv + inv.transpose(0, 2, 1))
+    return sym(inv)

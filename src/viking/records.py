@@ -1,9 +1,12 @@
-"""Filter traces: one array per column, with a per-step record as the row view.
+"""Filter traces, and every CSV file the package writes or reads.
 
-The CSV layout is ``t,y,forecast,forecast_var,residual,a_hat,s,sigma2_eff,
-b1..bm,Sigma1..Sigmam,cum_sq_err`` with the latent columns present only for
-traces that carry noise-latent beliefs. Floats are written with 17
-significant digits so values round-trip exactly.
+A trace holds one array per column, with a per-step record as the row view.
+Trace, dataset, summary and sweep files all go through :func:`write_table`,
+:func:`read_table` and :func:`write_lines`: comma-separated, one header line,
+integer columns as integers and floats with 17 significant digits, so values
+round-trip exactly. The trace layout is ``t,y,forecast,forecast_var,
+residual,a_hat,s,sigma2_eff,b1..bm,Sigma1..Sigmam,cum_sq_err`` with the
+latent columns present only for traces that carry noise-latent beliefs.
 """
 
 from __future__ import annotations
@@ -124,28 +127,41 @@ def fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A header line, then row ``i`` of every ``(n,)`` or ``(n, k)`` column;
+    integer columns as ``%d``, floats as ``%.17g`` (the same digits as :func:`fmt`)."""
+    columns = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g"
+                       for c in columns for _ in range(1 if c.ndim == 1 else c.shape[1]))
+    rows = np.column_stack(columns).tolist()
+    write_lines(path, [",".join(header)] + [row_fmt % tuple(row) for row in rows])
+
+
+def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The header and the ``(n, k)`` values of a file :func:`write_table` wrote."""
+    header, *rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    header = header.split(",")
+    values = np.array([[float(p) for p in row.split(",")] for row in rows]).reshape(-1, len(header))
+    return header, values
+
+
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
     m = 0 if trace.b_hat is None else trace.b_hat.shape[1]
-    header = list(BASE_COLUMNS)
-    header += [f"b{j + 1}" for j in range(m)]
-    header += [f"Sigma{j + 1}" for j in range(m)]
-    header.append("cum_sq_err")
+    header = BASE_COLUMNS + [f"b{j + 1}" for j in range(m)] + [f"Sigma{j + 1}" for j in range(m)]
     columns = [trace.t, trace.y, trace.forecast, trace.forecast_var, trace.residual,
                trace.a_hat, trace.s, trace.sigma2_eff]
     if m:
         columns += [trace.b_hat, trace.sigma_diag]
-    columns.append(trace.cum_sq_err)
-    row_fmt = "%d" + ",%.17g" * (len(header) - 1)  # the same digits as fmt()
-    rows = np.column_stack(columns).tolist()
-    lines = [",".join(header)] + [row_fmt % tuple(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, header + ["cum_sq_err"], columns + [trace.cum_sq_err])
 
 
 def read_trace_csv(path: str | Path) -> Trace:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
+    header, vals = read_table(path)
     m = sum(1 for name in header if name.startswith("b") and name[1:].isdigit())
-    vals = np.array([[float(p) for p in line.split(",")] for line in lines[1:]]).reshape(-1, len(header))
     col = dict(zip(BASE_COLUMNS, vals.T))
     return Trace(
         t=vals[:, 0].astype(int), y=col["y"], forecast=col["forecast"],

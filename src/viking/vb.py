@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import GaussianState, rank_one_update
+from .kalman import P0, GaussianState, rank_one_update
 from .linalg import SingularMatrixError, eye, spd_inv, spd_inv_batch, sym
 from .records import StepRecord, Trace
 from .rng import STREAM_FILTER, make_rng
@@ -93,8 +93,7 @@ class VikingState:
 
 
 def default_initial_state(transform: NoiseTransform, *, a0: float = 0.0, s0: float = 0.1,
-                          q0=0.1, sigma0: float = 0.1, p0: float = 1.0,
-                          seed: int = 0, stream: int = STREAM_FILTER) -> VikingState:
+                          q0=0.1, sigma0: float = 0.1, p0: float = P0, seed: int = 0) -> VikingState:
     """Neutral unit-scale initialization.
 
     ``q0`` is the target diagonal of the initial state-noise matrix; the
@@ -110,7 +109,7 @@ def default_initial_state(transform: NoiseTransform, *, a0: float = 0.0, s0: flo
         raise ValueError(f"q0 has shape {q0_arr.shape}, expected scalar or ({m},)")
     b0 = np.expm1(q0_arr)
     beliefs = VarianceBeliefs(a0, s0, b0, sigma0 * np.eye(m))
-    return VikingState(GaussianState(np.zeros(d), p0 * np.eye(d)), beliefs, 0, make_rng(seed, stream))
+    return VikingState(GaussianState(np.zeros(d), p0 * np.eye(d)), beliefs, 0, make_rng(seed, STREAM_FILTER))
 
 
 def _psd_sqrt(Sigma: np.ndarray) -> np.ndarray:
@@ -282,12 +281,11 @@ def _viking_step_inner(st: VikingState, hyper: VikingHyper, x: np.ndarray, y: fl
     return VikingState(state_new, beliefs, st.step_index + 1, st.rng), record
 
 
-def viking_run(series, hyper: VikingHyper, init: VikingState | None = None,
-               seed: int = 0) -> tuple[Trace, VikingState]:
+def viking_run(series, hyper: VikingHyper, init: VikingState | None = None) -> tuple[Trace, VikingState]:
     """Run the filter over a dataset; the trace includes the cumulative second-half error."""
     if series.d != hyper.transform.dim:
         raise ValueError(f"dataset dimension {series.d} does not match filter dimension {hyper.transform.dim}")
-    st = init if init is not None else default_initial_state(hyper.transform, seed=seed)
+    st = init if init is not None else default_initial_state(hyper.transform)
     records: list[StepRecord] = []
     for t in range(series.n):
         st, rec = viking_step(st, hyper, series.x[t], float(series.y[t]))

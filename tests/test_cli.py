@@ -141,3 +141,13 @@ def test_module_entry_points_exit_1_on_bad_subcommand():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1, (module, proc.returncode, proc.stderr)
         assert "usage" in proc.stderr.lower()
+
+
+def test_filter_header_only_dataset_exits_1(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("t,x1,x2,x3,x4,x5,y\n", encoding="utf-8")
+    code = run_cli("filter", "--data", str(data), "--method", "viking", "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "no data rows" in err
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from viking import DesignKind, GaussianState, gen_design, gen_wellspecified, kalman_run, kalman_step
+from viking.kalman import kalman_run_batch
 from oracles import quadrature_posterior_1d, rand_spd
 
 
@@ -114,6 +115,21 @@ def test_run_schedule_length_mismatch(small_dataset):
         kalman_run(ds, np.eye(5), np.zeros((ds.n - 1, 5, 5)), 1.0)
     with pytest.raises(ValueError):
         kalman_run(ds, np.eye(5), np.eye(5), np.ones(ds.n + 2))
+
+
+def test_batch_rejects_wrong_schedule_shapes_before_the_first_step():
+    n, B, d = 6, 2, 3
+    rng = np.random.default_rng(0)
+    x, y = rng.random((n, B, d)), rng.random((n, B))
+    init = GaussianState(np.zeros(d), np.eye(d))
+    Q = np.broadcast_to(0.1 * np.eye(d), (n, B, d, d))
+    kalman_run_batch(x, y, np.eye(d), Q, np.ones((n, B)), init, keep_state=False)
+    for bad_q in (Q[:-1], np.broadcast_to(0.1 * np.eye(d), (n, B + 1, d, d))):
+        with pytest.raises(ValueError):
+            kalman_run_batch(x, y, np.eye(d), bad_q, 1.0, init, keep_state=False)
+    for bad_sigma2 in (np.ones((n - 1, B)), np.ones(n + 1)):
+        with pytest.raises(ValueError):
+            kalman_run_batch(x, y, np.eye(d), Q, bad_sigma2, init, keep_state=False)
 
 
 def test_run_residual_identity(small_dataset):
