@@ -6,7 +6,10 @@ three methods: the adaptive filter, a Kalman oracle driven by the recorded
 true variances, and constant-variance Kalman baselines over a grid of
 state-noise levels. The score is the mean squared one-step forecast error
 over the second half of each run; grid methods report every grid point and
-select the best a posteriori by mean score across seeds.
+select the best a posteriori by mean score across seeds. The Kalman methods
+run every (grid point, seed) cell of an experiment in one recursion, with the
+grid points and the seeds on leading filter axes; the adaptive filter runs
+cell by cell.
 
 Output layout: ``<out>/<experiment>/<method>-<setting>/seed<k>.csv`` per-seed
 traces (for the selected grid point) plus ``summary.csv`` alongside them.
@@ -17,6 +20,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -36,7 +40,7 @@ from .datagen import (
     gen_wellspecified,
     resonator_transition,
 )
-from .kalman import P0, GaussianState, kalman_run_batch
+from .kalman import P0, GaussianState, kalman_run_grid, kalman_traces
 from .linalg import SingularMatrixError
 from .records import StepRecord, Trace, fmt, write_lines, write_table, write_trace_csv
 from .transforms import NoiseTransform, TransformKind as Setting  # Setting: the noise shape VIKING learns
@@ -196,26 +200,40 @@ def _constant_q_matrix(shape: QShape, q: float, d: int) -> np.ndarray:
     return q * np.eye(d)
 
 
-def _kalman_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Dataset],
-                  keep_state: bool) -> list[Trace]:
-    """The Kalman cells of one grid point, one per dataset, in one batched
-    recursion; each trace is the one its cell gets alone. ``keep_state`` adds
-    the ``theta``/``cov`` columns."""
+def _kalman_points(cfg: ExperimentConfig, points: list[GridPoint], datasets: list[Dataset],
+                   keep_state: bool) -> Iterator[list[Trace]]:
+    """The Kalman cells of each grid point in turn, one trace per dataset.
+
+    Every (grid point, dataset) cell runs in one recursion, with the grid
+    points on a leading filter axis; then each point's traces are yielded as
+    views into its blocks. Each trace is the one its cell gets alone.
+    ``keep_state`` adds the ``theta``/``cov`` columns.
+    """
     x = np.stack([ds.x for ds in datasets], axis=1)
     y = np.stack([ds.y for ds in datasets], axis=1)
     d = x.shape[-1]
-    K = transition_for(cfg, d)
-    init = GaussianState(np.zeros(d), cfg.init.p0 * np.eye(d))
     if cfg.method is Method.KALMAN_ORACLE:
         if any(ds.truth is None for ds in datasets):
             raise ValueError("the known-variance oracle needs recorded truth")
         qs = np.zeros((len(x), len(datasets), d, d))
         idx = np.arange(d)
         qs[:, :, idx, idx] = np.stack([ds.truth.q_diag for ds in datasets], axis=1)
+        Q = qs[:, None]  # one grid point
         sigma2 = np.stack([ds.truth.sigma2 for ds in datasets], axis=1)
-        return kalman_run_batch(x, y, K, qs, sigma2, init, keep_state)
-    Q = _constant_q_matrix(point.shape, point.q, d)
-    return kalman_run_batch(x, y, K, Q, float(cfg.sigma2_const), init, keep_state)
+    else:
+        Q = np.stack([_constant_q_matrix(point.shape, point.q, d) for point in points])[:, None]
+        sigma2 = float(cfg.sigma2_const)
+    init = GaussianState(np.zeros(d), cfg.init.p0 * np.eye(d))
+    blocks = kalman_run_grid(x, y, transition_for(cfg, d), Q, sigma2, init, keep_state)
+    for g in range(len(points)):
+        yield kalman_traces(y, sigma2, blocks, g)
+
+
+def _kalman_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Dataset],
+                  keep_state: bool) -> list[Trace]:
+    """The Kalman cells of one grid point, one per dataset: the one-point
+    case of :func:`_kalman_points`."""
+    return next(_kalman_points(cfg, [point], datasets, keep_state))
 
 
 def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) -> Trace:
@@ -235,19 +253,24 @@ def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) ->
     return trace
 
 
-def _point_cells(cfg: ExperimentConfig, point: GridPoint, datasets: dict[int, Dataset]) -> list[Trace]:
-    """One trace per seed at ``point``, without the ``theta``/``cov`` columns.
-    A singular matrix names the seed and the grid point."""
+def _point_traces(cfg: ExperimentConfig, points: list[GridPoint],
+                  datasets: dict[int, Dataset]) -> Iterator[list[Trace]]:
+    """One trace per seed at each grid point in turn, without the
+    ``theta``/``cov`` columns. The Kalman methods run every cell in one
+    recursion; VIKING runs cell by cell, and a singular matrix names the seed
+    and the grid point."""
     if cfg.method is not Method.VIKING:
-        return _kalman_cells(cfg, point, [datasets[seed] for seed in cfg.seeds], keep_state=False)
-    traces = []
-    for seed in cfg.seeds:
-        try:
-            trace = run_cell(cfg, point, datasets[seed], seed)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"seed {seed}, {point.label}, {exc}") from exc
-        traces.append(replace(trace, theta=None, cov=None))
-    return traces
+        yield from _kalman_points(cfg, points, [datasets[seed] for seed in cfg.seeds], keep_state=False)
+        return
+    for point in points:
+        traces = []
+        for seed in cfg.seeds:
+            try:
+                trace = run_cell(cfg, point, datasets[seed], seed)
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(f"seed {seed}, {point.label}, {exc}") from exc
+            traces.append(replace(trace, theta=None, cov=None))
+        yield traces
 
 
 @dataclass
@@ -279,18 +302,19 @@ def _stderr(values: np.ndarray) -> float:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentSummary:
     """Evaluate every grid point over the configured seeds.
 
-    Every (grid point, seed) cell runs once; the Kalman methods run the seeds
-    of a grid point in one batched recursion. When ``out_dir`` is given,
-    per-seed traces of the selected grid point (from that same run; only the
-    best point's so far are kept) and the grid summary are written under
+    Every (grid point, seed) cell runs once; the Kalman methods run all of
+    them in one recursion of ``n`` steps (for the constant-Q grid, a
+    ``(G, 1, d, d)`` stack of Qs over ``(G, B)`` filters), then score one
+    grid point at a time. When ``out_dir`` is given, per-seed traces of the
+    selected grid point (from that same run; only the best point's so far
+    are kept) and the grid summary are written under
     ``<out>/<experiment>/<method>-<setting>/``.
     """
     points = grid_points(cfg)
     datasets = {seed: make_dataset(cfg, seed) for seed in cfg.seeds}
     rows: list[SummaryRow] = []
     best, best_traces = 0, []
-    for i, point in enumerate(points):
-        traces = _point_cells(cfg, point, datasets)
+    for i, (point, traces) in enumerate(zip(points, _point_traces(cfg, points, datasets))):
         mses = np.array([mse_second_half(trace) for trace in traces])
         rows.append(SummaryRow(cfg.method.value, cfg.setting.value, point.label,
                                float(mses.mean()), _stderr(mses)))

@@ -100,6 +100,50 @@ def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: floa
     return post, float(prediction), float(pred_var)
 
 
+def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, sigma2,
+                    init: GaussianState, keep_state: bool) -> tuple[np.ndarray, ...]:
+    """Run G × B filters in one recursion: filter ``(g, b)`` uses grid point
+    ``g``'s state noise on series ``x[:, b]``, ``y[:, b]``.
+
+    ``x`` is ``(n, B, d)`` and ``y`` ``(n, B)``; they broadcast across the
+    grid axis and are never copied per point. ``Q`` is ``(G, 1, d, d)``, one
+    matrix per grid point for every step and series, or ``(n, 1, B, d, d)``,
+    one per step and series at a single grid point; ``sigma2`` is ``(n, B)``
+    or broadcasts to it. Every Q and sigma2 is validated once, before the
+    first step. Returns the ``(n, G, B)`` forecast and forecast-variance
+    blocks, then ``theta`` ``(n, G, B, d)`` and ``cov`` ``(n, G, B, d, d)``
+    with ``keep_state`` (else ``None``). Each filter's outputs are the ones
+    it gets alone.
+    """
+    n, B, d = x.shape
+    if K.shape != (d, d):
+        raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d})")
+    G = len(Q) if Q.ndim == 4 else 1
+    if G < 1 or Q.shape not in ((G, 1, d, d), (n, 1, B, d, d)):
+        raise ValueError(f"Q has shape {Q.shape}, expected (G, 1, {d}, {d}) or ({n}, 1, {B}, {d}, {d})")
+    _check_psd(Q)
+    sigma2 = np.broadcast_to(sigma2, (n, B))  # a ValueError unless it broadcasts
+    _check_sigma2(sigma2)
+    state = GaussianState(np.broadcast_to(init.mean, (G, B, d)), np.broadcast_to(init.cov, (G, B, d, d)))
+    forecast, forecast_var = np.empty((n, G, B)), np.empty((n, G, B))
+    theta, cov = (np.empty((n, G, B, d)), np.empty((n, G, B, d, d))) if keep_state else (None, None)
+    for t in range(n):
+        state, forecast[t], forecast_var[t] = _predict_update(
+            state, K, Q if Q.ndim == 4 else Q[t], sigma2[t], x[t], y[t])
+        if keep_state:
+            theta[t], cov[t] = state.mean, state.cov
+    return forecast, forecast_var, theta, cov
+
+
+def kalman_traces(y: np.ndarray, sigma2, blocks: tuple[np.ndarray, ...], g: int) -> list[Trace]:
+    """One trace per series at grid point ``g`` of the blocks
+    :func:`kalman_run_grid` returned, as views into them."""
+    forecast, forecast_var, theta, cov = (None if block is None else block[:, g] for block in blocks)
+    sigma2 = np.broadcast_to(sigma2, forecast.shape)
+    return split_traces(np.arange(len(y)), y, forecast, forecast_var, np.log(sigma2),
+                        np.zeros(forecast.shape), sigma2, theta=theta, cov=cov)
+
+
 def kalman_run_batch(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray,
                      sigma2: np.ndarray, init: GaussianState, keep_state: bool) -> list[Trace]:
     """Run B filters in one recursion, filter ``b`` on series ``x[:, b]``,
@@ -107,29 +151,16 @@ def kalman_run_batch(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray,
 
     ``x`` is ``(n, B, d)`` and ``y`` ``(n, B)``. ``Q`` is one ``(d, d)``
     matrix for every filter and step, or ``(n, B, d, d)``; ``sigma2`` is
-    ``(n, B)`` or broadcasts to it. This is the one place schedules are
-    checked: every Q and sigma2 is validated once, up front. ``keep_state``
-    adds the ``theta``/``cov`` columns. Each filter's trace is the one it
-    gets alone.
+    ``(n, B)`` or broadcasts to it. This is :func:`kalman_run_grid` with one
+    grid point, which validates every Q and sigma2 once, up front.
+    ``keep_state`` adds the ``theta``/``cov`` columns. Each filter's trace is
+    the one it gets alone.
     """
     n, B, d = x.shape
-    if K.shape != (d, d):
-        raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d})")
     if Q.shape not in ((d, d), (n, B, d, d)):
         raise ValueError(f"Q has shape {Q.shape}, expected ({d}, {d}) or ({n}, {B}, {d}, {d})")
-    _check_psd(Q)
-    sigma2 = np.broadcast_to(sigma2, (n, B))  # a ValueError unless it broadcasts
-    _check_sigma2(sigma2)
-    state = GaussianState(np.broadcast_to(init.mean, (B, d)), np.broadcast_to(init.cov, (B, d, d)))
-    forecast, forecast_var = np.empty((n, B)), np.empty((n, B))
-    theta, cov = (np.empty((n, B, d)), np.empty((n, B, d, d))) if keep_state else (None, None)
-    for t in range(n):
-        state, forecast[t], forecast_var[t] = _predict_update(
-            state, K, Q if Q.ndim == 2 else Q[t], sigma2[t], x[t], y[t])
-        if keep_state:
-            theta[t], cov[t] = state.mean, state.cov
-    return split_traces(np.arange(n), y, forecast, forecast_var, np.log(sigma2),
-                        np.zeros((n, B)), sigma2, theta=theta, cov=cov)
+    blocks = kalman_run_grid(x, y, K, Q[None, None] if Q.ndim == 2 else Q[:, None], sigma2, init, keep_state)
+    return kalman_traces(y, sigma2, blocks, 0)
 
 
 def kalman_run(series, K: np.ndarray, Q, sigma2, init: GaussianState | None = None) -> Trace:

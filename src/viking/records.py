@@ -142,11 +142,24 @@ def write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) 
 
 
 def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """The header and the ``(n, k)`` values of a file :func:`write_table` wrote."""
-    header, *rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = header.split(",")
-    values = np.array([[float(p) for p in row.split(",")] for row in rows]).reshape(-1, len(header))
-    return header, values
+    """The header and the ``(n, k)`` values of a file :func:`write_table` wrote.
+
+    A malformed file raises ``ValueError`` naming the path and the 1-based line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}:1: empty file, expected a header line")
+    header = lines[0].split(",")
+    values = []
+    for lineno, row in enumerate(lines[1:], start=2):
+        fields = row.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"{path}:{lineno}: {len(fields)} fields, the header has {len(header)}")
+        try:
+            values.append([float(p) for p in fields])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return header, np.array(values).reshape(-1, len(header))
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> None:

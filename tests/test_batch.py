@@ -101,3 +101,22 @@ def test_singular_cell_names_its_step_and_seed(monkeypatch):
     with pytest.raises(vk.SingularMatrixError, match=r"seed 2\b.*step 0\b"):
         run_experiment(cfg)
     run_experiment(replace(cfg, seeds=(1, 3)))
+
+
+def test_kalman_grid_steps_once_for_every_point(monkeypatch, tmp_path):
+    # one recursion for every (grid point, seed) cell: n predict/update calls,
+    # not n per grid point
+    import viking.kalman
+
+    cfg = CONFIGS["kalman-constant-grid"]
+    assert len(grid_points(cfg)) == 20
+    calls = []
+    step = viking.kalman._predict_update
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(viking.kalman, "_predict_update", counted)
+    run_experiment(cfg, out_dir=tmp_path)
+    assert len(calls) == cfg.n

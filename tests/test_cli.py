@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from viking.cli import main
 from viking.datagen import DesignKind, gen_design, gen_wellspecified, write_dataset_csv
@@ -150,4 +151,19 @@ def test_filter_header_only_dataset_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert str(data) in err and "no data rows" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("", 1),                                               # empty file
+    ("t,x1,x2,y\n0,0.5,1,0.25\n1,0.5,1\n", 3),             # short row
+    ("t,x1,x2,y\n0,0.5,1,0.25\n1,0.5,abc,0.25\n", 3),      # non-numeric field
+], ids=["empty", "short-row", "non-numeric"])
+def test_filter_malformed_dataset_names_file_and_line(tmp_path, capsys, text, lineno):
+    data = tmp_path / "bad.csv"
+    data.write_text(text, encoding="utf-8")
+    code = run_cli("filter", "--data", str(data), "--method", "kalman-oracle", "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {data}:{lineno}: " in err
     assert "Traceback" not in err

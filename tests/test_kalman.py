@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from viking import DesignKind, GaussianState, gen_design, gen_wellspecified, kalman_run, kalman_step
-from viking.kalman import kalman_run_batch
+import viking.kalman
+from viking import Dataset, DesignKind, GaussianState, gen_design, gen_wellspecified, kalman_run, kalman_step
+from viking.kalman import kalman_run_batch, kalman_run_grid, kalman_traces
 from oracles import quadrature_posterior_1d, rand_spd
 
 
@@ -136,3 +137,52 @@ def test_run_residual_identity(small_dataset):
     trace = kalman_run(small_dataset, np.eye(5), 0.25 * np.eye(5), 1.0)
     for rec in trace:
         assert rec.residual == rec.y - rec.forecast
+
+
+def _grid_inputs(n=30, B=3, d=4, G=5):
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((n, B, d)), rng.standard_normal((n, B))
+    Qs = np.stack([rand_spd(rng, d, ridge=0.01 * (g + 1)) for g in range(G)])[:, None]
+    return x, y, 0.9 * np.eye(d), Qs, GaussianState(np.zeros(d), np.eye(d))
+
+
+def test_grid_cells_equal_their_own_runs():
+    x, y, K, Qs, init = _grid_inputs()
+    sigma2 = np.linspace(0.5, 1.5, len(x))[:, None]
+    blocks = kalman_run_grid(x, y, K, Qs, sigma2, init, keep_state=True)
+    for g, Q in enumerate(Qs[:, 0]):
+        traces = kalman_traces(y, sigma2, blocks, g)
+        for b, got in enumerate(traces):
+            want = kalman_run(Dataset(x[:, b].copy(), y[:, b].copy(), 0), K, Q, sigma2[:, 0], init)
+            for name in ("forecast", "forecast_var", "residual", "sigma2_eff", "cum_sq_err", "theta", "cov"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (g, b, name)
+
+
+class _Steps(Exception):
+    pass
+
+
+def _no_steps(*args):
+    raise _Steps("a step ran")
+
+
+def test_grid_rejects_wrong_grid_axis_shapes_before_the_first_step(monkeypatch):
+    x, y, K, Qs, init = _grid_inputs()
+    monkeypatch.setattr(viking.kalman, "_predict_update", _no_steps)
+    with pytest.raises(_Steps):
+        kalman_run_grid(x, y, K, Qs, 1.0, init, keep_state=False)
+    n, B, d = x.shape
+    for bad_q in (Qs[:, 0], np.repeat(Qs, B, axis=1), Qs[:0], Qs[None],
+                  np.broadcast_to(Qs[0], (n, 2, B, d, d))):
+        with pytest.raises(ValueError):
+            kalman_run_grid(x, y, K, bad_q, 1.0, init, keep_state=False)
+
+
+def test_grid_rejects_one_non_psd_q_before_the_first_step(monkeypatch):
+    x, y, K, Qs, init = _grid_inputs()
+    monkeypatch.setattr(viking.kalman, "_predict_update", _no_steps)
+    for g in (0, len(Qs) - 1):
+        bad = Qs.copy()
+        bad[g, 0, 1, 1] = -0.5
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            kalman_run_grid(x, y, K, bad, 1.0, init, keep_state=False)
