@@ -9,7 +9,8 @@ over the second half of each run; grid methods report every grid point and
 select the best a posteriori by mean score across seeds. The Kalman methods
 run every (grid point, seed) cell of an experiment in one recursion, with the
 grid points and the seeds on leading filter axes; the adaptive filter runs
-cell by cell.
+the seeds of one grid point at a time in one recursion, with the seeds on a
+leading filter axis.
 
 Output layout: ``<out>/<experiment>/<method>-<setting>/seed<k>.csv`` per-seed
 traces (for the selected grid point) plus ``summary.csv`` alongside them.
@@ -44,7 +45,7 @@ from .kalman import P0, GaussianState, kalman_run_grid, kalman_traces
 from .linalg import SingularMatrixError
 from .records import StepRecord, Trace, fmt, write_lines, write_table, write_trace_csv
 from .transforms import NoiseTransform, TransformKind as Setting  # Setting: the noise shape VIKING learns
-from .vb import VikingHyper, default_initial_state, viking_run
+from .vb import VikingHyper, default_initial_state, viking_run_batch
 
 DEFAULT_RHO_GRID = DEFAULT_Q_GRID = tuple(math.exp(-i) for i in range(1, 11))
 
@@ -236,41 +237,67 @@ def _kalman_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Datase
     return next(_kalman_points(cfg, [point], datasets, keep_state))
 
 
-def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) -> Trace:
-    """One (grid point, seed) run over an already generated dataset."""
-    d = ds.d
-    if cfg.method is not Method.VIKING:
-        return _kalman_cells(cfg, point, [ds], keep_state=True)[0]
+def _viking_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Dataset], seeds: list[int],
+                  keep_state: bool) -> list[Trace]:
+    """The VIKING cells of one grid point, one per (dataset, seed), in one
+    batched recursion (:func:`viking_run_batch`), or two when the seeds' initial
+    latent covariances are zero for some and not others; each trace is the
+    one its cell gets alone. A singular matrix or a non-finite input names the
+    seed and the grid point."""
+    d = datasets[0].d
     transform = NoiseTransform(cfg.setting, d)
     fields = {**_viking_fields(cfg), "rho_a": point.rho_a, "rho_b": point.rho_b}
     hyper = VikingHyper(transform, transition_for(cfg, d), n_mc=cfg.n_mc, n_iter=cfg.n_iter, **fields)
-    init = _set_fields(**vars(cfg.init))
-    if cfg.experiment is ExperimentKind.RESONATOR and not hyper.learn_b:
-        q_known = ds.truth.q_diag[0]
-        pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
-        init = {"q0": pinned, "sigma0": 0.0, **init}
-    trace, _ = viking_run(ds, hyper, init=default_initial_state(transform, seed=seed, **init))
-    return trace
+    inits = []
+    for ds, seed in zip(datasets, seeds):
+        init = _set_fields(**vars(cfg.init))
+        if cfg.experiment is ExperimentKind.RESONATOR and not hyper.learn_b:
+            q_known = ds.truth.q_diag[0]
+            pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
+            init = {"q0": pinned, "sigma0": 0.0, **init}
+        inits.append(default_initial_state(transform, seed=seed, **init))
+    # estimate_precision's zero-Sigma short-circuit leaves A_inv in another
+    # memory layout than sampling does, so a batch cannot mix the two kinds:
+    # seeds whose latent covariance plus rho_b starts at zero run as their own
+    # batch. A batch stays unmixed, because a zero covariance turns nonzero
+    # at the first b update, for all of its filters at once.
+    zero = [not (st.beliefs.Sigma + hyper.rho_b * np.eye(transform.latent_dim)).any() for st in inits]
+    traces = [None] * len(inits)
+    for kind in dict.fromkeys(zero):
+        idx = [i for i, z in enumerate(zero) if z == kind]
+        x = np.stack([datasets[i].x for i in idx], axis=1)
+        y = np.stack([datasets[i].y for i in idx], axis=1)
+        try:
+            batch, _ = viking_run_batch(x, y, hyper, [inits[i] for i in idx], keep_state)
+        except (SingularMatrixError, ValueError) as exc:
+            if not hasattr(exc, "filter"):
+                raise
+            raise type(exc)(f"seed {seeds[idx[exc.filter]]}, {point.label}, {exc}") from exc
+        for i, trace in zip(idx, batch):
+            traces[i] = trace
+    return traces
+
+
+def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) -> Trace:
+    """One (grid point, seed) run over an already generated dataset, with the
+    ``theta``/``cov`` columns: the one-seed case of the batched runners."""
+    if cfg.method is not Method.VIKING:
+        return _kalman_cells(cfg, point, [ds], keep_state=True)[0]
+    return _viking_cells(cfg, point, [ds], [seed], keep_state=True)[0]
 
 
 def _point_traces(cfg: ExperimentConfig, points: list[GridPoint],
                   datasets: dict[int, Dataset]) -> Iterator[list[Trace]]:
     """One trace per seed at each grid point in turn, without the
     ``theta``/``cov`` columns. The Kalman methods run every cell in one
-    recursion; VIKING runs cell by cell, and a singular matrix names the seed
-    and the grid point."""
+    recursion; VIKING runs the seeds of each grid point in one recursion
+    (its hyperparameters differ between points)."""
     if cfg.method is not Method.VIKING:
         yield from _kalman_points(cfg, points, [datasets[seed] for seed in cfg.seeds], keep_state=False)
         return
     for point in points:
-        traces = []
-        for seed in cfg.seeds:
-            try:
-                trace = run_cell(cfg, point, datasets[seed], seed)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(f"seed {seed}, {point.label}, {exc}") from exc
-            traces.append(replace(trace, theta=None, cov=None))
-        yield traces
+        yield _viking_cells(cfg, point, [datasets[seed] for seed in cfg.seeds], list(cfg.seeds),
+                            keep_state=False)
 
 
 @dataclass

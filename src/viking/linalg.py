@@ -17,7 +17,13 @@ JITTER_SCALE = 1e-10
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """SPD factorization failed even after the one-shot jitter retry."""
+    """SPD factorization failed even after the one-shot jitter retry.
+
+    ``index`` is the failing matrix's index in a stack given to
+    :func:`spd_inv`, ``None`` for one matrix.
+    """
+
+    index: tuple[int, ...] | None = None
 
 
 _inversions = 0
@@ -55,13 +61,13 @@ _strict_lower_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _mirror_lower(a: np.ndarray) -> np.ndarray:
-    """Copy the strict lower triangle onto the upper one, in place."""
-    n = a.shape[0]
+    """Copy the strict lower triangle onto the upper one, in place (of each matrix of a stack)."""
+    n = a.shape[-1]
     idx = _strict_lower_cache.get(n)
     if idx is None:
         idx = np.tril_indices(n, -1)
         _strict_lower_cache[n] = idx
-    a[idx[1], idx[0]] = a[idx]
+    a[..., idx[1], idx[0]] = a[..., idx[0], idx[1]]
     return a
 
 
@@ -83,29 +89,51 @@ def spd_factor(m: np.ndarray):
     return factor
 
 
-def spd_inv(m: np.ndarray) -> np.ndarray:
-    """Symmetrized Cholesky-based inverse of an SPD matrix. Counts as one inversion."""
-    global _inversions
+def _potri(m: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix from its Cholesky factor; only the lower triangle is filled."""
     inv, info = dpotri(spd_factor(m), lower=1)
     if info != 0:
         raise SingularMatrixError("inverse from Cholesky factor failed")
-    _inversions += 1
-    return _mirror_lower(inv)  # potri fills only the lower triangle
+    return inv
+
+
+def spd_inv(m: np.ndarray) -> np.ndarray:
+    """Symmetrized Cholesky-based inverse of an SPD matrix. Counts as one inversion.
+
+    A stack ``(..., d, d)`` is inverted one matrix at a time (numpy has no
+    batched ``potri``), each result column-major as ``potri`` leaves it; a
+    failure carries the stack index of its matrix as ``index``.
+    """
+    global _inversions
+    if m.ndim == 2:
+        inv = _mirror_lower(_potri(m))
+        _inversions += 1
+        return inv
+    stack = m.reshape((-1,) + m.shape[-2:])
+    out = np.empty(stack.shape).swapaxes(-1, -2)
+    for i, a in enumerate(stack):
+        try:
+            out[i] = _potri(a)
+        except SingularMatrixError as exc:
+            exc.index = np.unravel_index(i, m.shape[:-2])
+            raise
+    _inversions += len(stack)
+    return _mirror_lower(out).reshape(m.shape)
 
 
 def spd_inv_batch(ms: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of SPD matrices, shape ``(k, d, d)``.
+    """Inverses of a stack of SPD matrices, shape ``(..., d, d)``.
 
-    Counts as ``k`` inversions. The fast path factors the whole stack at
-    once; if any matrix fails it falls back to per-matrix :func:`spd_inv`
+    Counts as one inversion per matrix. The fast path factors the whole stack
+    at once; if any matrix fails it falls back to per-matrix :func:`spd_inv`
     so each one gets its own jitter retry.
     """
     global _inversions
     try:
         chol = np.linalg.cholesky(ms)
     except np.linalg.LinAlgError:
-        return np.stack([spd_inv(m) for m in ms])
+        return spd_inv(ms)
     chol_inv = np.linalg.inv(chol)
-    inv = chol_inv.transpose(0, 2, 1) @ chol_inv
-    _inversions += len(ms)
+    inv = chol_inv.swapaxes(-1, -2) @ chol_inv
+    _inversions += ms[..., 0, 0].size
     return sym(inv)

@@ -21,7 +21,12 @@ BASE_COLUMNS = ["t", "y", "forecast", "forecast_var", "residual", "a_hat", "s", 
 
 @dataclass
 class StepRecord:
-    """One filtering step: pre-update forecast plus post-update beliefs."""
+    """One filtering step: pre-update forecast plus post-update beliefs.
+
+    A step of B batched filters holds one record for all of them: ``t`` and
+    ``cum_sq_err`` are shared, and every other field gains a leading ``(B,)``
+    axis (``b_hat`` ``(B, m)``, ``cov`` ``(B, d, d)``, ...).
+    """
 
     t: int
     y: float
@@ -61,15 +66,6 @@ class Trace:
     cum_sq_err: np.ndarray
     theta: np.ndarray | None = field(default=None, repr=False)
     cov: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_records(cls, records: list[StepRecord]) -> "Trace":
-        """The columns of a run's records; ``cum_sq_err`` is recomputed from the residuals."""
-        trace = cls(*(None if records and getattr(records[0], name) is None
-                      else np.array([getattr(r, name) for r in records], dtype=int if name == "t" else float)
-                      for name in _FIELDS))
-        trace.cum_sq_err = cum_sq_err(trace.residual)
-        return trace
 
     def columns(self) -> list[np.ndarray | None]:
         return [getattr(self, name) for name in _FIELDS]

@@ -85,8 +85,9 @@ def phi_d2(b):
 
 
 def _check_latent(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
+    """One latent ``(latent_dim,)``, or one per filter of a stack ``(..., latent_dim)``."""
     b = np.asarray(b, dtype=float)
-    if b.shape != (transform.latent_dim,):
+    if b.shape[-1:] != (transform.latent_dim,):
         raise ValueError(
             f"latent has shape {b.shape}, expected ({transform.latent_dim},) for kind {transform.kind.value}"
         )
@@ -94,17 +95,23 @@ def _check_latent(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
 
 
 def noise_diag_batch(transform: NoiseTransform, draws: np.ndarray) -> np.ndarray:
-    """Diagonals of ``f(b_i)`` for a ``(k, latent_dim)`` stack of latents.
+    """Diagonals of ``f(b_i)`` for a ``(..., latent_dim)`` stack of latents.
 
     The scalar kind is the diagonal kind with its one latent broadcast to
     every coordinate.
     """
-    return np.broadcast_to(phi(draws), (draws.shape[0], transform.dim))
+    f = phi(draws)
+    return f if transform.latent_dim == transform.dim else np.broadcast_to(f, draws.shape[:-1] + (transform.dim,))
 
 
 def apply_f(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
-    """PSD diagonal state-noise matrix ``f(b)``."""
-    return np.diag(noise_diag_batch(transform, _check_latent(transform, b)[None])[0])
+    """PSD diagonal state-noise matrix ``f(b)``, or one per latent of a stack."""
+    diag = noise_diag_batch(transform, _check_latent(transform, b))
+    if diag.ndim == 1:
+        return np.diag(diag)
+    out = np.zeros(diag.shape + diag.shape[-1:])
+    out.reshape(diag.shape[:-1] + (-1,))[..., ::transform.dim + 1] = diag
+    return out
 
 
 def psi_value(transform: NoiseTransform, b: np.ndarray, B: np.ndarray, KPK: np.ndarray) -> float:
@@ -116,13 +123,16 @@ def psi_value(transform: NoiseTransform, b: np.ndarray, B: np.ndarray, KPK: np.n
     return float(logdet + trace)
 
 
-def _fold(transform: NoiseTransform, v: np.ndarray) -> np.ndarray:
-    """Per-coordinate derivative summed back onto the latent.
+def _fold(transform: NoiseTransform, v: np.ndarray, core: int) -> np.ndarray:
+    """Per-coordinate derivative summed back onto the latent, over the last
+    ``core`` axes of ``v`` (one filter's gradient or curvature).
 
     The scalar kind's one latent feeds every coordinate, so by the chain rule
     its gradient and curvature are the sums over the coordinates.
     """
-    return v if transform.latent_dim == transform.dim else np.full((1,) * v.ndim, v.sum())
+    if transform.latent_dim == transform.dim:
+        return v
+    return v.sum(axis=tuple(range(-core, 0)), keepdims=True)
 
 
 def _check_expansion_point(b_hat: np.ndarray) -> None:
@@ -137,6 +147,8 @@ def _derivatives(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C:
     """Gradient, and the Hessian bound if ``bound``, from one inverse of ``C``.
 
     ``C^-1 B C^-1`` and ``phi'(b_hat)`` are formed once and shared by both.
+    Every argument may carry the same leading (filter) axes; each filter's
+    arithmetic is the same as when it is passed alone.
     """
     b_hat = _check_latent(transform, b_hat)
     if bound:
@@ -144,13 +156,13 @@ def _derivatives(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C:
     C_inv = spd_inv(C)
     MBM = C_inv @ B @ C_inv
     d1 = phi_d1(b_hat)
-    grad = _fold(transform, np.diagonal(C_inv - MBM) * d1)
+    grad = _fold(transform, np.diagonal(C_inv - MBM, axis1=-2, axis2=-1) * d1, 1)
     if not bound:
         return grad, None
-    H = 2.0 * MBM * C_inv * (d1[:, None] * d1)
+    H = 2.0 * MBM * C_inv * (d1[..., :, None] * d1[..., None, :])
     d = transform.dim
-    H.reshape(d * d)[::d + 1] -= np.diagonal(MBM) * phi_d2(b_hat)
-    return grad, _fold(transform, sym(H))
+    H.reshape(H.shape[:-2] + (d * d,))[..., ::d + 1] -= np.diagonal(MBM, axis1=-2, axis2=-1) * phi_d2(b_hat)
+    return grad, _fold(transform, sym(H), 2)
 
 
 def psi_gradient(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:

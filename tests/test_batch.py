@@ -120,3 +120,132 @@ def test_kalman_grid_steps_once_for_every_point(monkeypatch, tmp_path):
     monkeypatch.setattr(viking.kalman, "_predict_update", counted)
     run_experiment(cfg, out_dir=tmp_path)
     assert len(calls) == cfg.n
+
+
+# ------------------------------------------------ batched VIKING recursion
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _alone(x, y, hyper, init) -> list:
+    """One filter stepped through ``viking_step`` without a filter axis."""
+    st, records = init, []
+    for t in range(len(y)):
+        st, rec = vk.viking_step(st, hyper, x[t], float(y[t]))
+        records.append(rec)
+    return records
+
+
+def _assert_matches_alone(traces, x, y, hyper, inits, where) -> None:
+    for b, (trace, init) in enumerate(zip(traces, inits)):
+        records = _alone(x[:, b], y[:, b], hyper, init)
+        for f in fields(Trace):
+            if f.name == "cum_sq_err":  # the runners fill it in; a record holds NaN
+                continue
+            want = [getattr(r, f.name) for r in records]
+            assert _same_bits(getattr(trace, f.name), want), (where, b, f.name)
+
+
+@pytest.mark.parametrize("name", ["viking-diagonal-grid", "viking-scalar-grid", "resonator-learn-b-off"])
+def test_viking_batch_columns_match_single_filter_steps(name, monkeypatch):
+    # every column of every batched cell, theta/cov included, bit for bit
+    import copy
+
+    cfg = CONFIGS[name]
+    runs = []
+    run_batch = harness.viking_run_batch
+
+    def recording(x, y, hyper, inits, keep_state):
+        runs.append((x, y, hyper, copy.deepcopy(inits)))
+        return run_batch(x, y, hyper, inits, keep_state)
+
+    monkeypatch.setattr(harness, "viking_run_batch", recording)
+    datasets = [make_dataset(cfg, seed) for seed in cfg.seeds]
+    for point in grid_points(cfg):
+        traces = harness._viking_cells(cfg, point, datasets, list(cfg.seeds), keep_state=True)
+        x, y, hyper, inits = runs.pop()
+        assert x.shape[1] == len(cfg.seeds) > 1
+        _assert_matches_alone(traces, x, y, hyper, inits, point.label)
+
+
+def test_viking_batch_rejects_mixing_zero_and_nonzero_latent_covariance():
+    hyper = vk.VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), rho_b=0.0, n_mc=2, learn_b=False)
+    st = vk.vb.stack_states([vk.default_initial_state(hyper.transform, sigma0=s0, seed=1) for s0 in (0.0, 0.1)])
+    with pytest.raises(ValueError, match="mixes zero and nonzero latent covariances"):
+        vk.viking_step(st, hyper, np.ones((2, 2)), np.zeros(2))
+
+
+def test_viking_point_mixing_zero_and_nonzero_latent_covariance(monkeypatch):
+    # seeds 1 and 3 start with no latent uncertainty (estimate_precision's
+    # short-circuit), seeds 2 and 4 sample; they run as two batches, and
+    # every cell still gets the bits it gets alone
+    cfg = ExperimentConfig(ExperimentKind.MS_NONIID, Method.VIKING, n=40, seeds=(1, 2, 3, 4), n_mc=3,
+                           rho_b=0.0, learn_b=False)
+    default = harness.default_initial_state
+
+    def initial_state(transform, seed, **kw):
+        return default(transform, seed=seed, **{**kw, "sigma0": 0.0 if seed % 2 else 0.05})
+
+    batches = []
+    run_batch = harness.viking_run_batch
+
+    def recording(x, y, hyper, inits, keep_state):
+        batches.append(hyper)
+        return run_batch(x, y, hyper, inits, keep_state)
+
+    monkeypatch.setattr(harness, "default_initial_state", initial_state)
+    monkeypatch.setattr(harness, "viking_run_batch", recording)
+    datasets = [make_dataset(cfg, seed) for seed in cfg.seeds]
+    (point,) = grid_points(cfg)
+    traces = harness._viking_cells(cfg, point, datasets, list(cfg.seeds), keep_state=True)
+    assert len(batches) == 2
+    hyper = batches[0]
+    x = np.stack([ds.x for ds in datasets], axis=1)
+    y = np.stack([ds.y for ds in datasets], axis=1)
+    inits = [initial_state(hyper.transform, seed=seed) for seed in cfg.seeds]
+    _assert_matches_alone(traces, x, y, hyper, inits, "mixed")
+
+
+def test_viking_grid_steps_once_per_point(monkeypatch, tmp_path):
+    # the seeds of a grid point share one viking_step call per time step:
+    # n calls per point, not n per (point, seed) cell
+    import viking.vb
+
+    cfg = replace(CONFIGS["viking-diagonal-grid"], seeds=(1, 2, 3))
+    calls = []
+    step = viking.vb.viking_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(viking.vb, "viking_step", counted)
+    run_experiment(cfg, out_dir=tmp_path)
+    assert len(calls) == len(grid_points(cfg)) * cfg.n
+
+
+def test_batched_step_names_the_filter_of_a_non_finite_input():
+    hyper = vk.VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), n_mc=2)
+    st = vk.vb.stack_states([vk.default_initial_state(hyper.transform, seed=s) for s in (1, 2, 3)])
+    x = np.ones((3, 2))
+    x[2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"step 0, filter 2: non-finite") as info:
+        vk.viking_step(st, hyper, x, np.zeros(3))
+    assert info.value.filter == 2
+
+
+def test_experiment_names_the_seed_of_a_non_finite_observation(monkeypatch):
+    cfg = ExperimentConfig(ExperimentKind.WS_IID, Method.VIKING, n=20, seeds=(1, 2, 3), n_mc=2)
+    make = harness.make_dataset
+
+    def dataset(cfg, seed):
+        ds = make(cfg, seed)
+        if seed == 2:
+            ds.y[7] = np.nan
+        return ds
+
+    monkeypatch.setattr(harness, "make_dataset", dataset)
+    with pytest.raises(ValueError, match=r"seed 2\b.*step 7\b.*non-finite"):
+        run_experiment(cfg)

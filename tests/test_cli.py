@@ -167,3 +167,18 @@ def test_filter_malformed_dataset_names_file_and_line(tmp_path, capsys, text, li
     err = capsys.readouterr().err
     assert f"error: {data}:{lineno}: " in err
     assert "Traceback" not in err
+
+
+def test_filter_non_finite_dataset_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_dataset_csv(gen_wellspecified(gen_design(DesignKind.IID, 20, 3), seed=3), data)
+    lines = data.read_text(encoding="utf-8").splitlines()
+    fields = lines[6].split(",")  # step 5
+    fields[lines[0].split(",").index("y")] = "nan"
+    lines[6] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run_cli("filter", "--data", str(data), "--method", "viking", "--n-mc", "2", "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "step 5" in err and "non-finite" in err
+    assert not (tmp_path / "trace-viking-diagonal.csv").exists()

@@ -448,3 +448,37 @@ def test_update_s_lowers_the_exact_objective():
         assert s_new <= s_prior
         f_prior = s_objective(s_prior, r2, a_hat, s_prior)
         assert s_objective(s_new, r2, a_hat, s_prior) <= f_prior + 1e-12 * abs(f_prior)
+
+
+@pytest.mark.parametrize("where, step", [(("y", 10), 10), (("x", (5, 2)), 5), (("y", 5), 5)],
+                         ids=["y-nan", "x-inf", "y-inf"])
+def test_run_rejects_non_finite_inputs_naming_the_step(where, step):
+    ds = _dataset(n=30, seed=3)
+    name, idx = where
+    getattr(ds, name)[idx] = np.nan if idx == 10 else np.inf
+    hyper = _hyper(rho_a=1e-4, rho_b=1e-3, n_mc=3, learn_a=True, learn_b=True)
+    with pytest.raises(ValueError, match=rf"step {step}: non-finite"):
+        viking_run(ds, hyper, init=default_initial_state(hyper.transform, seed=1))
+
+
+def test_update_b_clamp_clips_coordinates_of_the_unconstrained_minimizer():
+    # a fixed instance where the clip is not the box-constrained minimizer of
+    # the bound, and even raises the bound above its value at b_prev
+    b_prev = np.array([0.1, 0.8])
+    Sigma_prev = np.array([[0.6, 0.24], [0.24, 0.13]])
+    grad = np.array([3.2, -0.9])
+    H = np.diag([0.36, 0.13])
+    rho_b = 0.09
+    b_new, Sigma_new = update_b(b_prev, Sigma_prev, grad, H, rho_b)
+    raw = b_prev - 0.5 * (Sigma_new @ grad)
+    assert raw[0] < 0.0 < raw[1]
+    np.testing.assert_array_equal(b_new, [0.0, raw[1]])
+
+    def bound(b):
+        return b_bound(b, Sigma_new, b_prev, Sigma_prev, grad, H, rho_b)
+
+    M = np.linalg.inv(Sigma_prev + rho_b * np.eye(2)) + 0.5 * H
+    box = np.array([0.0, b_prev[1] - (0.5 * grad[1] - M[1, 0] * b_prev[0]) / M[1, 1]])
+    assert box[1] > 0.0
+    assert bound(box) < bound(b_prev) < bound(b_new)
+    assert bound(b_new) - bound(b_prev) == pytest.approx(0.11898, abs=1e-5)
