@@ -15,7 +15,7 @@ leading filter axis.
 Output layout: ``<out>/<experiment>/<method>-<setting>/seed<k>.csv`` per-seed
 traces (for the selected grid point) plus ``summary.csv`` alongside them.
 All randomness flows from the configured seeds; repeated runs produce
-byte-identical files.
+byte-identical files, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -256,11 +256,12 @@ def _viking_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Datase
             pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
             init = {"q0": pinned, "sigma0": 0.0, **init}
         inits.append(default_initial_state(transform, seed=seed, **init))
-    # estimate_precision's zero-Sigma short-circuit leaves A_inv in another
-    # memory layout than sampling does, so a batch cannot mix the two kinds:
-    # seeds whose latent covariance plus rho_b starts at zero run as their own
-    # batch. A batch stays unmixed, because a zero covariance turns nonzero
-    # at the first b update, for all of its filters at once.
+    # estimate_precision's zero-Sigma short-circuit takes no draws and sets
+    # A_inv exactly, and it is taken for a whole batch, so a batch cannot mix
+    # the two kinds: seeds whose latent covariance plus rho_b starts at zero
+    # run as their own batch. A batch stays unmixed, because a zero
+    # covariance either stays zero (a known b, with rho_b = 0) or turns
+    # nonzero at the first b update, for all of its filters at once.
     zero = [not (st.beliefs.Sigma + hyper.rho_b * np.eye(transform.latent_dim)).any() for st in inits]
     traces = [None] * len(inits)
     for kind in dict.fromkeys(zero):

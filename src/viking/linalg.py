@@ -1,17 +1,20 @@
 """Small dense SPD helpers shared by the filters.
 
-Every SPD inversion in the package funnels through :func:`spd_inv` or
-:func:`spd_inv_batch`, so tests can assert per-step inversion budgets via
-``spd_inversion_count``. Inverses go through a Cholesky factorization
-(LAPACK ``potrf``/``potri``); a matrix that fails to factor gets a single
-jitter retry (``1e-10 * trace/dim`` added to the diagonal) and then raises
-:class:`SingularMatrixError`.
+Every SPD inversion in the package funnels through one kernel,
+:func:`spd_inv`, which takes one matrix or any stack the same way, so tests
+can assert per-step inversion budgets via ``spd_inversion_count``. Each
+matrix is factored with LAPACK ``potrf`` and its factor inverted with
+``trtri``; one stacked product forms ``L^-T L^-1`` for the whole stack.
+These kernels give the same bits whatever the BLAS thread count, and a
+matrix gets the same bits in a stack as alone. A matrix that fails to factor
+gets a single jitter retry (``1e-10 * trace/dim`` added to the diagonal) and
+then raises :class:`SingularMatrixError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 JITTER_SCALE = 1e-10
 
@@ -57,20 +60,6 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
-_strict_lower_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _mirror_lower(a: np.ndarray) -> np.ndarray:
-    """Copy the strict lower triangle onto the upper one, in place (of each matrix of a stack)."""
-    n = a.shape[-1]
-    idx = _strict_lower_cache.get(n)
-    if idx is None:
-        idx = np.tril_indices(n, -1)
-        _strict_lower_cache[n] = idx
-    a[..., idx[1], idx[0]] = a[..., idx[0], idx[1]]
-    return a
-
-
 def _jittered(m: np.ndarray) -> np.ndarray:
     jitter = JITTER_SCALE * float(np.trace(m)) / m.shape[0]
     if not np.isfinite(jitter) or jitter <= 0.0:
@@ -89,51 +78,29 @@ def spd_factor(m: np.ndarray):
     return factor
 
 
-def _potri(m: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix from its Cholesky factor; only the lower triangle is filled."""
-    inv, info = dpotri(spd_factor(m), lower=1)
-    if info != 0:
-        raise SingularMatrixError("inverse from Cholesky factor failed")
-    return inv
-
-
 def spd_inv(m: np.ndarray) -> np.ndarray:
-    """Symmetrized Cholesky-based inverse of an SPD matrix. Counts as one inversion.
+    """Exactly symmetric inverse of an SPD matrix, or of each in a ``(..., d, d)``
+    stack. Counts as one inversion per matrix.
 
-    A stack ``(..., d, d)`` is inverted one matrix at a time (numpy has no
-    batched ``potri``), each result column-major as ``potri`` leaves it; a
-    failure carries the stack index of its matrix as ``index``.
+    ``m`` must be symmetric (one triangle is read). Each matrix is inverted
+    through its Cholesky factor ``L`` as ``L^-T L^-1`` and gets the bits it
+    gets alone; a failure carries the stack index of its matrix as ``index``.
     """
     global _inversions
-    if m.ndim == 2:
-        inv = _mirror_lower(_potri(m))
-        _inversions += 1
-        return inv
-    stack = m.reshape((-1,) + m.shape[-2:])
-    out = np.empty(stack.shape).swapaxes(-1, -2)
-    for i, a in enumerate(stack):
-        try:
-            out[i] = _potri(a)
-        except SingularMatrixError as exc:
-            exc.index = np.unravel_index(i, m.shape[:-2])
-            raise
-    _inversions += len(stack)
-    return _mirror_lower(out).reshape(m.shape)
-
-
-def spd_inv_batch(ms: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of SPD matrices, shape ``(..., d, d)``.
-
-    Counts as one inversion per matrix. The fast path factors the whole stack
-    at once; if any matrix fails it falls back to per-matrix :func:`spd_inv`
-    so each one gets its own jitter retry.
-    """
-    global _inversions
-    try:
-        chol = np.linalg.cholesky(ms)
-    except np.linalg.LinAlgError:
-        return spd_inv(ms)
-    chol_inv = np.linalg.inv(chol)
-    inv = chol_inv.swapaxes(-1, -2) @ chol_inv
-    _inversions += ms[..., 0, 0].size
-    return sym(inv)
+    d = m.shape[-1]
+    stack = m.reshape(-1, d, d)
+    out = stack.astype(float, order="C")
+    # column-major views, which LAPACK factors and inverts in place (f2py
+    # copies nothing); positional flags keep the loop tight
+    cols = out.swapaxes(-1, -2)
+    for i in range(len(out)):
+        if dpotrf(cols[i], 1, 1, 1)[1]:  # lower, clean, overwrite_a
+            try:
+                cols[i] = spd_factor(stack[i].T)
+            except SingularMatrixError as exc:
+                exc.index = np.unravel_index(i, m.shape[:-2]) if m.ndim > 2 else None
+                raise
+        dtrtri(cols[i], 1, 0, 1)  # lower, unitdiag, overwrite_c: cannot fail after potrf
+    _inversions += len(out)
+    # read in C order, out holds each L^-T; cols holds each L^-1
+    return sym(out @ cols).reshape(m.shape)

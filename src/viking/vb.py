@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kalman import P0, GaussianState, _dot, _matvec, quad_form, rank_one_update
-from .linalg import SingularMatrixError, eye, spd_inv, spd_inv_batch, sym
+from .linalg import SingularMatrixError, eye, spd_inv, sym
 from .records import StepRecord, Trace, split_traces
 from .rng import STREAM_FILTER, make_rng
 from .transforms import (
@@ -180,10 +180,15 @@ def estimate_precision(b_hat: np.ndarray, Sigma: np.ndarray, KPK: np.ndarray,
     """Monte-Carlo estimate of the expected propagated precision.
 
     Returns ``(A, A_inv)`` with ``A`` the sample mean of ``(KPK + f(b_i))^-1``
-    over ``n_mc`` draws ``b_i ~ N(b_hat, Sigma)``. A zero ``Sigma`` makes all
-    draws equal ``b_hat``, so sampling is short-circuited and ``A_inv`` is
-    ``KPK + f(b_hat)`` exactly. A batch (leading filter axis on every array,
-    one generator per filter) must have either every ``Sigma`` zero or none.
+    over ``n_mc`` draws ``b_i ~ N(b_hat, Sigma)``. The whole ``(..., n_mc, d,
+    d)`` stack of ``KPK + f(b_i)`` goes through one :func:`spd_inv` call, and
+    ``A_inv`` through another: ``n_mc + 1`` inversions per filter. Every
+    inverse is exactly symmetric, and so is their mean. A zero ``Sigma``
+    makes all draws equal ``b_hat``, so sampling is short-circuited: no
+    draw is taken and ``A_inv`` is ``KPK + f(b_hat)`` exactly, at one
+    inversion. That choice is made for the whole batch (leading filter axis
+    on every array, one generator per filter), so a batch must have either
+    every ``Sigma`` zero or none.
     """
     d = transform.dim
     if Sigma.ndim > 2 and len(set(Sigma.any(axis=(-2, -1)).tolist())) > 1:
@@ -195,7 +200,7 @@ def estimate_precision(b_hat: np.ndarray, Sigma: np.ndarray, KPK: np.ndarray,
     Cs = np.empty(draws.shape[:-1] + (d, d))
     Cs[:] = KPK[..., None, :, :]
     Cs.reshape(-1, d * d)[:, ::d + 1] += noise_diag_batch(transform, draws).reshape(-1, d)
-    A = sym(spd_inv_batch(Cs).mean(axis=-3))
+    A = spd_inv(Cs).mean(axis=-3)
     return A, spd_inv(A)
 
 
@@ -258,11 +263,19 @@ def update_b(b_prev: np.ndarray, Sigma_prev: np.ndarray, grad: np.ndarray, H: np
     the gradient scaled by 3 (seed 0), 124 did. The clip costs no inversion
     (the budget stays ``n_iter·(n_mc + 4)`` per step), and no run at the
     filter's defaults has been seen to hit it.
+
+    A zero ``Sigma_prev + rho_b I`` (``rho_b = 0`` and no latent
+    uncertainty) means ``b`` is known: there is no update, and ``b_prev`` and
+    ``Sigma_prev`` are returned as they are, at no inversion. (A batch never
+    mixes zero and nonzero covariances; see :func:`estimate_precision`.)
     """
     m = b_prev.shape[-1]
     if grad.shape != b_prev.shape or H.shape != b_prev.shape + (m,) or Sigma_prev.shape != H.shape:
         raise ValueError("inconsistent latent dimensions in update_b")
-    prior_prec = spd_inv(Sigma_prev + rho_b * eye(m))
+    prior = Sigma_prev + rho_b * eye(m)
+    if not prior.any():
+        return b_prev.copy(), Sigma_prev.copy()
+    prior_prec = spd_inv(prior)
     Sigma_new = spd_inv(prior_prec + 0.5 * H)
     b_new = np.maximum(b_prev - 0.5 * _matvec(Sigma_new, grad), floor)
     return b_new, Sigma_new
@@ -431,8 +444,19 @@ def state_to_checkpoint(st: VikingState) -> dict:
 
 
 def state_from_checkpoint(rec: dict) -> VikingState:
+    """The state :func:`state_to_checkpoint` recorded. A non-finite value or a
+    size that does not fit the others raises ``ValueError`` naming its field."""
     d = len(rec["mean"])
     m = len(rec["b_hat"])
+    arrays = {}
+    for name, shape in (("mean", (d,)), ("cov", (d * d,)), ("a_hat", ()), ("s", ()),
+                        ("b_hat", (m,)), ("Sigma", (m * m,))):
+        v = np.array(rec[name], dtype=float)
+        if v.shape != shape or not v.size:
+            raise ValueError(f"checkpoint field {name!r} has shape {v.shape}, expected {shape} (d = {d}, m = {m})")
+        if not np.isfinite(v).all():
+            raise ValueError(f"checkpoint field {name!r} holds a non-finite value")
+        arrays[name] = v
     bg = np.random.PCG64()
     bg.state = {
         "bit_generator": "PCG64",
@@ -441,9 +465,9 @@ def state_from_checkpoint(rec: dict) -> VikingState:
         "uinteger": rec["rng_uinteger"],
     }
     return VikingState(
-        GaussianState(np.array(rec["mean"]), np.array(rec["cov"]).reshape(d, d)),
-        VarianceBeliefs(rec["a_hat"], rec["s"], np.array(rec["b_hat"]),
-                        np.array(rec["Sigma"]).reshape(m, m)),
+        GaussianState(arrays["mean"], arrays["cov"].reshape(d, d)),
+        VarianceBeliefs(float(arrays["a_hat"]), float(arrays["s"]), arrays["b_hat"],
+                        arrays["Sigma"].reshape(m, m)),
         rec["step_index"],
         np.random.Generator(bg),
     )

@@ -182,3 +182,35 @@ def test_filter_non_finite_dataset_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: " in err and "step 5" in err and "non-finite" in err
     assert not (tmp_path / "trace-viking-diagonal.csv").exists()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # acceptance check c11's two commands, each in a child process under one
+    # and under two OpenBLAS threads: the CSV bytes must agree
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import viking
+
+    src = str(Path(viking.__file__).resolve().parents[1])
+    commands = (
+        ["simulate", "--experiment", "ms-noniid", "--n", "120", "--seed", "3", "--out", "sim"],
+        ["experiment", "--experiment", "ws-iid", "--method", "viking", "--setting", "diagonal",
+         "--seeds", "1,2", "--n", "80", "--out", "exp"],
+    )
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for args in commands:
+            subprocess.run([sys.executable, "-m", "viking", *args], cwd=out, env=env, check=True,
+                           capture_output=True, timeout=300)
+        outs.append(out)
+    a, b = outs
+    files = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
+    assert files and files == sorted(p.relative_to(b) for p in b.rglob("*.csv"))
+    assert [p for p in files if (a / p).read_bytes() != (b / p).read_bytes()] == []

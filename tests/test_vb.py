@@ -216,6 +216,30 @@ def test_update_b_threshold():
     assert b_new[0] == 0.0
 
 
+def test_update_b_known_latent_is_not_updated():
+    # a zero Sigma_prev + rho_b I means b is known: no update, no inversion
+    b_prev = np.array([0.3, 0.7])
+    vk.reset_spd_inversion_count()
+    b_new, Sigma_new = update_b(b_prev, np.zeros((2, 2)), np.array([1.0, -2.0]), np.eye(2), 0.0)
+    assert vk.spd_inversion_count() == 0
+    np.testing.assert_array_equal(b_new, b_prev)
+    np.testing.assert_array_equal(Sigma_new, np.zeros((2, 2)))
+
+
+def test_experiment_with_a_known_latent_keeps_it():
+    # learn_b on with rho_b = 0 and sigma0 = 0: the first step used to raise
+    # SingularMatrixError on the zero prior covariance of b
+    from viking.harness import ExperimentConfig, ExperimentKind, InitOverrides, Method, make_dataset, run_cell
+
+    cfg = ExperimentConfig(ExperimentKind.MS_IID, Method.VIKING, n=40, seeds=(1,), n_mc=3, rho_b=0.0,
+                           init=InitOverrides(sigma0=0.0))
+    (point,) = vk.grid_points(cfg)
+    trace = run_cell(cfg, point, make_dataset(cfg, 1), 1)
+    assert np.isfinite(trace.forecast).all()
+    assert (trace.b_hat == trace.b_hat[0]).all()
+    assert not trace.sigma_diag.any()
+
+
 def test_update_b_matches_coordinate_descent():
     rng = make_rng(7)
     for _ in range(50):
@@ -430,6 +454,26 @@ def test_checkpoint_roundtrip_continues_identically():
         restored, rb = viking_step(restored, hyper, ds.x[t], float(ds.y[t]))
         assert ra.forecast == rb.forecast
         np.testing.assert_array_equal(ra.b_hat, rb.b_hat)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("mean", [float("nan"), 0.0], "'mean' holds a non-finite"),
+    ("cov", [1.0, 0.0, 0.0, float("inf")], "'cov' holds a non-finite"),
+    ("a_hat", float("nan"), "'a_hat' holds a non-finite"),
+    ("s", float("-inf"), "'s' holds a non-finite"),
+    ("b_hat", [float("nan"), 0.1], "'b_hat' holds a non-finite"),
+    ("Sigma", [0.1, 0.0, 0.0, float("nan")], "'Sigma' holds a non-finite"),
+    ("cov", [1.0, 0.0, 0.0], "'cov' has shape"),
+    ("Sigma", [0.1], "'Sigma' has shape"),
+    ("mean", [], "'mean' has shape"),
+    ("s", [0.1], "'s' has shape"),
+])
+def test_checkpoint_rejects_non_finite_or_misfit_fields(field, value, match):
+    rec = state_to_checkpoint(default_initial_state(vk.NoiseTransform.diagonal(2), seed=3))
+    state_from_checkpoint(rec)
+    rec[field] = value
+    with pytest.raises(ValueError, match=match):
+        state_from_checkpoint(rec)
 
 
 def test_update_s_lowers_the_exact_objective():
