@@ -6,7 +6,15 @@ can assert per-step inversion budgets via ``spd_inversion_count``. Each
 matrix is factored with LAPACK ``potrf`` and its factor inverted with
 ``trtri``; one stacked product forms ``L^-T L^-1`` for the whole stack.
 These kernels give the same bits whatever the BLAS thread count, and a
-matrix gets the same bits in a stack as alone. A matrix that fails to factor
+matrix gets the same bits in a stack as alone. The inverse is exactly
+symmetric as the product forms it, with no symmetrising pass: the right
+operand is the left one's buffer transposed, so numpy's matmul sees
+``A @ A^T``, computes one triangle with BLAS ``syrk`` and mirrors it into
+the other, on any BLAS. That holds only while the right operand stays a
+view of the left one's buffer; a copy would need :func:`sym` again
+(``tests/test_linalg.py::test_inverse_is_exactly_symmetric_as_the_product_forms_it``
+pins it at d = 33 and 64, ``test_stack_matches_alone_symmetric_and_counted``
+up to d = 20, each for one matrix and a stack). A matrix that fails to factor
 gets a single jitter retry (``1e-10 * trace/dim`` added to the diagonal) and
 then raises :class:`SingularMatrixError`.
 """
@@ -102,5 +110,7 @@ def spd_inv(m: np.ndarray) -> np.ndarray:
                 raise
         dtrtri(cols[i], 1, 0, 1)  # lower, unitdiag, overwrite_c: cannot fail after potrf
     _inversions += len(out)
-    # read in C order, out holds each L^-T; cols holds each L^-1
-    return sym(out @ cols).reshape(m.shape)
+    # read in C order, out holds each L^-T; cols holds each L^-1. cols must
+    # stay a view of out: numpy then runs syrk on A @ A^T and mirrors the
+    # triangle, which makes the product exactly symmetric without sym
+    return (out @ cols).reshape(m.shape)

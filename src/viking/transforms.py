@@ -11,6 +11,9 @@ belief uncertainty shrink, rather than inflate, the filter's effective step.
 an expansion point and a symmetric PSD matrix dominating its Hessian there,
 from one inverse of ``C`` (precomputed, so callers control how often it is
 factored); ``psi_gradient`` and ``psi_hessian_bound`` are its two halves.
+The terms that depend only on the expansion point come from
+``expansion_point``, so a filter evaluating the bound in several passes at
+one point forms them once.
 At the kink ``b = 0`` the derivative helpers use the right limits
 (``phi_d1(0) = 1``, ``phi_d2(0) = -1``), which keeps the update formulas
 continuous as a clamped latent approaches zero from above.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,39 +139,53 @@ def _fold(transform: NoiseTransform, v: np.ndarray, core: int) -> np.ndarray:
     return v.sum(axis=tuple(range(-core, 0)), keepdims=True)
 
 
-def _check_expansion_point(b_hat: np.ndarray) -> None:
+class ExpansionPoint(NamedTuple):
+    """The terms of the Hessian bound that depend only on its expansion point
+    ``b_hat``: ``phi'(b_hat)``, its outer product and ``phi''(b_hat)``."""
+
+    d1: np.ndarray
+    d1_outer: np.ndarray
+    d2: np.ndarray
+
+
+def expansion_point(transform: NoiseTransform, b_hat: np.ndarray) -> ExpansionPoint:
+    """:class:`ExpansionPoint` at ``b_hat`` (one latent or a stack), which must
+    be positive in every coordinate; a filter forms it once per step."""
+    b_hat = _check_latent(transform, b_hat)
     if np.any(b_hat <= 0.0):
         raise ValueError(
             "hessian bound requires f(b_hat) positive definite: every latent coordinate must be > 0"
         )
+    d1 = phi_d1(b_hat)
+    return ExpansionPoint(d1, d1[..., :, None] * d1[..., None, :], phi_d2(b_hat))
 
 
-def _derivatives(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray,
-                 bound: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradient, and the Hessian bound if ``bound``, from one inverse of ``C``.
+def _derivatives(transform: NoiseTransform, B: np.ndarray, C: np.ndarray, d1: np.ndarray,
+                 d1_outer: np.ndarray | None = None, d2: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient with ``phi'(b_hat) = d1``, and the Hessian bound if the rest of
+    the :class:`ExpansionPoint` (``d1_outer``, ``d2``) is given, from one
+    inverse of ``C``.
 
-    ``C^-1 B C^-1`` and ``phi'(b_hat)`` are formed once and shared by both.
-    Every argument may carry the same leading (filter) axes; each filter's
-    arithmetic is the same as when it is passed alone.
+    ``C^-1 B C^-1`` is formed once and shared by both. Every argument may
+    carry the same leading (filter) axes; each filter's arithmetic is the
+    same as when it is passed alone.
     """
-    b_hat = _check_latent(transform, b_hat)
-    if bound:
-        _check_expansion_point(b_hat)
     C_inv = spd_inv(C)
     MBM = C_inv @ B @ C_inv
-    d1 = phi_d1(b_hat)
-    grad = _fold(transform, np.diagonal(C_inv - MBM, axis1=-2, axis2=-1) * d1, 1)
-    if not bound:
+    mbm_diag = np.diagonal(MBM, axis1=-2, axis2=-1)
+    grad = _fold(transform, (np.diagonal(C_inv, axis1=-2, axis2=-1) - mbm_diag) * d1, 1)
+    if d1_outer is None:
         return grad, None
-    H = 2.0 * MBM * C_inv * (d1[..., :, None] * d1[..., None, :])
+    H = 2.0 * MBM * C_inv * d1_outer
     d = transform.dim
-    H.reshape(H.shape[:-2] + (d * d,))[..., ::d + 1] -= np.diagonal(MBM, axis1=-2, axis2=-1) * phi_d2(b_hat)
+    H.reshape(H.shape[:-2] + (d * d,))[..., ::d + 1] -= mbm_diag * d2
     return grad, _fold(transform, sym(H), 2)
 
 
 def psi_gradient(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Gradient of ``psi`` at ``b_hat``, with ``C = KPK + f(b_hat)`` precomputed."""
-    return _derivatives(transform, b_hat, B, C, bound=False)[0]
+    return _derivatives(transform, B, C, phi_d1(_check_latent(transform, b_hat)))[0]
 
 
 def psi_hessian_bound(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -176,11 +194,16 @@ def psi_hessian_bound(transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarra
     Requires every coordinate of ``b_hat`` strictly positive (callers clamp
     their latents to a small positive floor before evaluating this).
     """
-    return _derivatives(transform, b_hat, B, C, bound=True)[1]
+    return psi_gradient_hessian_bound(transform, b_hat, B, C)[1]
 
 
 def psi_gradient_hessian_bound(
-    transform: NoiseTransform, b_hat: np.ndarray, B: np.ndarray, C: np.ndarray
+    transform: NoiseTransform, b_hat: np.ndarray | ExpansionPoint, B: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian bound sharing a single factorization of ``C``."""
-    return _derivatives(transform, b_hat, B, C, bound=True)
+    """Gradient and Hessian bound sharing a single factorization of ``C``.
+
+    ``b_hat`` may be given as its :func:`expansion_point`, which a caller
+    evaluating several ``B`` at one ``b_hat`` forms once; the bits are the same.
+    """
+    point = b_hat if isinstance(b_hat, ExpansionPoint) else expansion_point(transform, b_hat)
+    return _derivatives(transform, B, C, *point)

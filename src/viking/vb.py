@@ -19,6 +19,16 @@ posterior, alternating ``n_iter`` coordinate passes:
    PSD curvature matrix of the log-det objective, expanded at the previous
    step's latent, followed by a nonnegativity clamp.
 
+What is the same in every pass is formed once per step: the zero test of
+the latent prior ``Sigma_prev + rho_b I`` (a zero prior means ``b`` is
+known, and step 5 is skipped), and the terms of the ``b`` bound that depend
+only on its expansion point (:func:`~viking.transforms.expansion_point`).
+Each pass redoes steps 1-5, because each depends on the previous pass's
+state moments or latents. Two inverses in step 5 are also the same in every
+pass, ``(KPK + f(b_prev))^-1`` in the bound and the prior's inverse in
+:func:`update_b`; they stay per pass because the inversion budget,
+``n_iter·(n_mc + 4)`` per step (acceptance check c07), counts them there.
+
 Defaults follow ``rho_a = e^-9``, ``rho_b = e^-6``, ``n_mc = 10``, two
 passes. With the learning flags off and degenerate beliefs the step reduces
 exactly to the standard Kalman filter.
@@ -45,6 +55,7 @@ from .rng import STREAM_FILTER, make_rng
 from .transforms import (
     NoiseTransform,
     apply_f,
+    expansion_point,
     noise_diag_batch,
     psi_gradient_hessian_bound,
 )
@@ -170,7 +181,9 @@ def sample_noise_latents(b_hat: np.ndarray, Sigma: np.ndarray, n_mc: int,
     m = b_hat.shape[-1]
     if b_hat.ndim == 1:
         return b_hat + rng.standard_normal((n_mc, m)) @ _psd_sqrt(Sigma).T
-    z = np.stack([r.standard_normal((n_mc, m)) for r in rng])
+    z = np.empty((len(rng), n_mc, m))
+    for r, zi in zip(rng, z):
+        r.standard_normal(out=zi)
     return b_hat[:, None] + z @ _psd_sqrt(Sigma).swapaxes(-1, -2)
 
 
@@ -191,16 +204,17 @@ def estimate_precision(b_hat: np.ndarray, Sigma: np.ndarray, KPK: np.ndarray,
     every ``Sigma`` zero or none.
     """
     d = transform.dim
-    if Sigma.ndim > 2 and len(set(Sigma.any(axis=(-2, -1)).tolist())) > 1:
+    nonzero = Sigma.any(axis=(-2, -1))
+    if nonzero.any() != nonzero.all():
         raise ValueError("a batch mixes zero and nonzero latent covariances")
-    if not Sigma.any():
+    if not nonzero.any():
         C = KPK + apply_f(transform, b_hat)
         return spd_inv(C), C.copy()
     draws = sample_noise_latents(b_hat, Sigma, n_mc, rng)
     Cs = np.empty(draws.shape[:-1] + (d, d))
     Cs[:] = KPK[..., None, :, :]
     Cs.reshape(-1, d * d)[:, ::d + 1] += noise_diag_batch(transform, draws).reshape(-1, d)
-    A = spd_inv(Cs).mean(axis=-3)
+    A = np.add.reduce(spd_inv(Cs), axis=-3) / n_mc  # what mean() runs, without its wrapper
     return A, spd_inv(A)
 
 
@@ -330,8 +344,8 @@ def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[
         raise ValueError(f"covariates have shape {x.shape}, expected {batch + (d,)}")
     if y.shape != batch:
         raise ValueError(f"observations have shape {y.shape}, expected {batch}")
-    bad = np.flatnonzero(~(np.isfinite(x).all(axis=-1) & np.isfinite(y)))
-    if bad.size:
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        bad = np.flatnonzero(~(np.isfinite(x).all(axis=-1) & np.isfinite(y)))
         raise _step_error(ValueError("non-finite covariates or observation"), st, int(bad[0]))
     try:
         return _step(st, hyper, x, y if batch else float(y))
@@ -353,8 +367,12 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
 
     a_cur, s_cur = a_prev, s_prior
     b_cur = b_prev.copy()
+    # Once per step, not per pass (see the module docstring): the latent
+    # prior's zero test (zero: b is known, no b bound) and the bound's terms
+    # at b_prev. C = prop and the prior are inverted per pass, as c07 counts.
     Sigma_cur = Sigma_prev + hyper.rho_b * eye(m)
-    C = prop if hyper.learn_b else None  # KPK + f(b_hat) at the previous step's latent
+    learn_b = hyper.learn_b and Sigma_cur.any()
+    point = expansion_point(transform, b_prev) if learn_b else None
 
     state_new = st.state
     for _ in range(hyper.n_iter):
@@ -365,10 +383,10 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
             r2 = resid * resid + _quad(x, state_new.cov)
             s_cur = update_s(r2, a_cur, s_prior)
             a_cur = update_a(r2, a_prev, s_cur, s_prior, m_a)
-        if hyper.learn_b:
+        if learn_b:
             delta = state_new.mean - prior_mean
             B = state_new.cov + delta[..., :, None] * delta[..., None, :]
-            grad, H = psi_gradient_hessian_bound(transform, b_prev, B, C)
+            grad, H = psi_gradient_hessian_bound(transform, point, B, prop)
             b_cur, Sigma_cur = update_b(b_prev, Sigma_prev, grad, H, hyper.rho_b, floor=B_HAT_FLOOR)
 
     beliefs = VarianceBeliefs(a_cur, s_cur, b_cur, Sigma_cur)
@@ -426,7 +444,10 @@ def viking_run(series, hyper: VikingHyper, init: VikingState | None = None) -> t
 
 
 def state_to_checkpoint(st: VikingState) -> dict:
-    """Flat numeric record of the full state; json round-trips it exactly."""
+    """Flat numeric record of the full state; json round-trips it exactly. A
+    checkpoint holds one filter: a batched state raises ``ValueError``."""
+    if isinstance(st.rng, list):
+        raise ValueError(f"a checkpoint holds one filter; this state has a filter axis of {len(st.rng)}")
     bg_state = st.rng.bit_generator.state
     return {
         "mean": [float(v) for v in st.state.mean],

@@ -146,6 +146,11 @@ def s_objective_minimizer(r2: float, a_hat: float, s_prior: float) -> float:
             hi = mid
 
 
+def a_objective(a: float, r2: float, a_prev: float, s: float, s_prior: float) -> float:
+    """Exact per-step objective in the latent's posterior mean ``a`` for a given ``s``."""
+    return 0.5 * r2 * math.exp(-a + 0.5 * s) + 0.5 * (a - a_prev) ** 2 / s_prior + 0.5 * a
+
+
 def a_bound(a: float, r2: float, a_prev: float, s: float, s_prior: float, m_a: float) -> float:
     """Upper bound minimized by the latent-mean update, valid on |a - a_prev| <= m_a."""
     u = a - a_prev

@@ -33,6 +33,16 @@ def test_stack_matches_alone_symmetric_and_counted(d, n):
     assert vk.spd_inversion_count() == 2 * n
 
 
+@pytest.mark.parametrize("d", [33, 64])
+@pytest.mark.parametrize("n", [None, 3])
+def test_inverse_is_exactly_symmetric_as_the_product_forms_it(d, n):
+    # no symmetrising pass follows the L^-T L^-1 product: the product itself
+    # must be exactly symmetric, for one matrix and for a stack
+    ms = _spd_stack(d, n or 1, seed=d)
+    inv = spd_inv(ms if n else ms[0])
+    assert np.array_equal(inv, inv.swapaxes(-1, -2))
+
+
 def test_multi_axis_stack_matches_flat_stack():
     ms = _spd_stack(4, 6, seed=3)
     assert np.array_equal(spd_inv(ms.reshape(2, 3, 4, 4)).reshape(6, 4, 4), spd_inv(ms))

@@ -16,6 +16,8 @@ from viking import (
     psi_hessian_bound,
     psi_value,
 )
+from viking.linalg import spd_inv
+from viking.transforms import expansion_point
 from oracles import central_diff_gradient, central_diff_hessian, rand_spd
 
 E = math.e
@@ -180,6 +182,32 @@ def test_combined_matches_separate_calls():
     grad, H = psi_gradient_hessian_bound(transform, b, B, C)
     np.testing.assert_array_equal(grad, psi_gradient(transform, b, B, C))
     np.testing.assert_array_equal(H, psi_hessian_bound(transform, b, B, C))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "diagonal"])
+def test_expansion_point_gives_the_same_bits(kind):
+    # the terms a filter forms once per step give the gradient and bound bit
+    # for bit, for one filter and for a stack, as the direct formulas do
+    rng = np.random.default_rng(17)
+    insts = [_random_instance(rng, 4, kind) for _ in range(3)]
+    transform = insts[0][0]
+    for _, b, B, _, C in insts:
+        M = spd_inv(C)
+        MBM = M @ B @ M
+        d1, d2 = phi_d1(b), phi_d2(b)
+        H = 2.0 * MBM * M * (d1[:, None] * d1[None, :]) - np.diag(np.diagonal(MBM) * d2)
+        want = (np.diagonal(M - MBM) * d1, 0.5 * (H + H.T))
+        if kind == "scalar":
+            want = tuple(w.sum(keepdims=True) for w in want)
+        for got in (psi_gradient_hessian_bound(transform, expansion_point(transform, b), B, C),
+                    psi_gradient_hessian_bound(transform, b, B, C)):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+    bs, Bs, Cs = (np.stack([inst[i] for inst in insts]) for i in (1, 2, 4))
+    grads, Hs = psi_gradient_hessian_bound(transform, expansion_point(transform, bs), Bs, Cs)
+    for i in range(3):
+        grad, H = psi_gradient_hessian_bound(transform, bs[i], Bs[i], Cs[i])
+        assert grads[i].tobytes() == grad.tobytes() and Hs[i].tobytes() == H.tobytes()
 
 
 def test_phi_family_is_elementwise():

@@ -17,6 +17,7 @@ from viking.vb import (
     forecast,
     sample_noise_latents,
     state_from_checkpoint,
+    stack_states,
     state_to_checkpoint,
     update_a,
     update_b,
@@ -27,6 +28,7 @@ from viking.vb import (
 )
 from oracles import (
     a_bound,
+    a_objective,
     b_bound,
     minimize_quadratic_coordinate_descent,
     minimize_scalar,
@@ -238,6 +240,33 @@ def test_experiment_with_a_known_latent_keeps_it():
     assert np.isfinite(trace.forecast).all()
     assert (trace.b_hat == trace.b_hat[0]).all()
     assert not trace.sigma_diag.any()
+
+
+def test_known_latent_at_zero_skips_the_b_bound():
+    # with q0 = 0 the known latent sits at b = 0, where the b bound is not
+    # defined; a known latent needs no bound, so the run must not evaluate it
+    from viking.harness import ExperimentConfig, ExperimentKind, InitOverrides, Method, make_dataset, run_cell
+
+    cfg = ExperimentConfig(ExperimentKind.MS_IID, Method.VIKING, n=40, seeds=(1,), n_mc=3, rho_b=0.0,
+                           init=InitOverrides(sigma0=0.0, q0=0.0))
+    (point,) = vk.grid_points(cfg)
+    trace = run_cell(cfg, point, make_dataset(cfg, 1), 1)
+    assert np.isfinite(trace.forecast).all()
+    assert not trace.b_hat.any() and not trace.sigma_diag.any()
+
+
+def test_known_latent_cell_inverts_once_per_pass():
+    # the zero-covariance precision takes one inversion a pass, and the b
+    # bound, whose C^-1 a known latent would discard, is not evaluated
+    from viking.harness import ExperimentConfig, ExperimentKind, InitOverrides, Method, make_dataset, run_cell
+
+    cfg = ExperimentConfig(ExperimentKind.MS_IID, Method.VIKING, n=40, seeds=(1,), n_mc=3, rho_b=0.0,
+                           init=InitOverrides(sigma0=0.0))
+    (point,) = vk.grid_points(cfg)
+    ds = make_dataset(cfg, 1)
+    vk.reset_spd_inversion_count()
+    run_cell(cfg, point, ds, 1)
+    assert vk.spd_inversion_count() == cfg.n * cfg.n_iter
 
 
 def test_update_b_matches_coordinate_descent():
@@ -492,6 +521,28 @@ def test_update_s_lowers_the_exact_objective():
         assert s_new <= s_prior
         f_prior = s_objective(s_prior, r2, a_hat, s_prior)
         assert s_objective(s_new, r2, a_hat, s_prior) <= f_prior + 1e-12 * abs(f_prior)
+
+
+def test_update_a_lowers_the_exact_objective():
+    # a_bound majorises the exact objective on the clamp interval and touches
+    # it at a_prev, so its clamped minimizer cannot raise the objective
+    rng = make_rng(13)
+    for _ in range(500):
+        r2 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        a_prev = float(rng.normal(scale=2.0))
+        s = float(rng.uniform(0.0, 1.0))
+        s_prior = float(10.0 ** rng.uniform(-2.0, 0.5))
+        m_a = float(10.0 ** rng.uniform(-8.0, 0.5))
+        a_new = update_a(r2, a_prev, s, s_prior, m_a)
+        f_prev = a_objective(a_prev, r2, a_prev, s, s_prior)
+        assert a_objective(a_new, r2, a_prev, s, s_prior) <= f_prev + 1e-12 * abs(f_prev)
+
+
+def test_checkpoint_rejects_a_batched_state():
+    tr = vk.NoiseTransform.diagonal(2)
+    st_ = stack_states([default_initial_state(tr, seed=1), default_initial_state(tr, seed=2)])
+    with pytest.raises(ValueError, match="a checkpoint holds one filter"):
+        state_to_checkpoint(st_)
 
 
 @pytest.mark.parametrize("where, step", [(("y", 10), 10), (("x", (5, 2)), 5), (("y", 5), 5)],
