@@ -37,7 +37,7 @@ class GaussianState:
 
 def quad_form(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``x @ m @ x``, evaluated left to right, for each vector and matrix of two stacks."""
-    return (x[..., None, :] @ m @ x[..., :, None])[..., 0, 0]
+    return x @ m @ x if x.ndim == 1 else (x[..., None, :] @ m @ x[..., :, None])[..., 0, 0]
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -55,35 +55,22 @@ def sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-_eye_cache: dict[int, np.ndarray] = {}
-
-
-def eye(n: int) -> np.ndarray:
-    """Cached identity; treat as read-only."""
-    out = _eye_cache.get(n)
-    if out is None:
-        out = np.eye(n)
-        out.setflags(write=False)
-        _eye_cache[n] = out
-    return out
-
-
-def _jittered(m: np.ndarray) -> np.ndarray:
+def _jittered_factor(m: np.ndarray):
+    """Lower Cholesky factor of ``m`` with the jitter on its diagonal: the
+    retry for a matrix whose plain factorization failed."""
     jitter = JITTER_SCALE * float(np.trace(m)) / m.shape[0]
     if not np.isfinite(jitter) or jitter <= 0.0:
         raise SingularMatrixError("matrix is not positive definite and has no usable jitter scale")
-    return m + jitter * np.eye(m.shape[0])
+    factor, info = dpotrf(m + jitter * np.eye(m.shape[0]), lower=1)
+    if info != 0:
+        raise SingularMatrixError("matrix is not positive definite (jitter retry failed)")
+    return factor
 
 
 def spd_factor(m: np.ndarray):
     """Lower Cholesky factor of ``m``, with the one-shot jitter retry."""
     factor, info = dpotrf(m, lower=1)
-    if info == 0:
-        return factor
-    factor, info = dpotrf(_jittered(m), lower=1)
-    if info != 0:
-        raise SingularMatrixError("matrix is not positive definite (jitter retry failed)")
-    return factor
+    return factor if info == 0 else _jittered_factor(m)
 
 
 def spd_inv(m: np.ndarray) -> np.ndarray:
@@ -104,7 +91,7 @@ def spd_inv(m: np.ndarray) -> np.ndarray:
     for i in range(len(out)):
         if dpotrf(cols[i], 1, 1, 1)[1]:  # lower, clean, overwrite_a
             try:
-                cols[i] = spd_factor(stack[i].T)
+                cols[i] = _jittered_factor(stack[i].T)
             except SingularMatrixError as exc:
                 exc.index = np.unravel_index(i, m.shape[:-2]) if m.ndim > 2 else None
                 raise

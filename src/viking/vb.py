@@ -38,7 +38,10 @@ filter axis steps B filters (one grid point's seeds, say) through the same
 arithmetic, each with its own generator, and each filter gets the bits it
 gets alone (:func:`viking_run_batch`; :func:`viking_run` is its one-filter
 case). A single filter steps without the axis, through plain vector and
-float calls.
+float calls: the state's shape selects the path. A batch of one gives the
+same bits but costs ×1.19 a step at d = 20 and ×1.22 at d = 5 (300 steps,
+``n_mc`` 10, one BLAS thread, 2-core machine), mostly in the ``a``/``s``
+updates on one-element arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kalman import P0, GaussianState, _dot, _matvec, quad_form, rank_one_update
-from .linalg import SingularMatrixError, eye, spd_inv, sym
+from .linalg import SingularMatrixError, spd_inv, sym
 from .records import StepRecord, Trace, split_traces
 from .rng import STREAM_FILTER, make_rng
 from .transforms import (
@@ -127,8 +130,13 @@ def default_initial_state(transform: NoiseTransform, *, a0: float = 0.0, s0: flo
     ``q0`` is the target diagonal of the initial state-noise matrix; the
     latent is set to ``exp(q0) - 1`` per coordinate so ``f(b0)`` hits it
     exactly. ``q0`` may be a scalar or a per-coordinate vector (diagonal
-    kind only).
+    kind only). A non-finite value, or a negative one for any field but
+    ``a0``, raises ``ValueError`` naming its field.
     """
+    for name, value in (("a0", a0), ("s0", s0), ("q0", q0), ("sigma0", sigma0), ("p0", p0)):
+        v = np.asarray(value, dtype=float)
+        if not np.isfinite(v).all() or (name != "a0" and (v < 0.0).any()):
+            raise ValueError(f"initial {name} = {value} must be finite" + ("" if name == "a0" else " and >= 0"))
     d, m = transform.dim, transform.latent_dim
     q0_arr = np.asarray(q0, dtype=float)
     if q0_arr.ndim == 0:
@@ -157,11 +165,6 @@ def _exp(v):
     ``exp`` can differ from libm's in the last bit, and a filter's arithmetic
     must not depend on whether it runs in a batch."""
     return np.array([math.exp(u) for u in v.tolist()]) if isinstance(v, np.ndarray) else math.exp(v)
-
-
-def _quad(x: np.ndarray, m: np.ndarray):
-    """``x @ m @ x``, or for each vector and matrix of two stacks."""
-    return x @ m @ x if x.ndim == 1 else quad_form(x, m)
 
 
 def _psd_sqrt(Sigma: np.ndarray) -> np.ndarray:
@@ -286,7 +289,7 @@ def update_b(b_prev: np.ndarray, Sigma_prev: np.ndarray, grad: np.ndarray, H: np
     m = b_prev.shape[-1]
     if grad.shape != b_prev.shape or H.shape != b_prev.shape + (m,) or Sigma_prev.shape != H.shape:
         raise ValueError("inconsistent latent dimensions in update_b")
-    prior = Sigma_prev + rho_b * eye(m)
+    prior = Sigma_prev + rho_b * np.eye(m)
     if not prior.any():
         return b_prev.copy(), Sigma_prev.copy()
     prior_prec = spd_inv(prior)
@@ -304,7 +307,7 @@ def _propagate(st: VikingState, hyper: VikingHyper) -> tuple[np.ndarray, np.ndar
 
 
 def _predictive(x: np.ndarray, prior_mean: np.ndarray, prop: np.ndarray, bel: VarianceBeliefs):
-    return _dot(x, prior_mean), _quad(x, prop) + _exp(bel.a_hat + 0.5 * bel.s)
+    return _dot(x, prior_mean), quad_form(x, prop) + _exp(bel.a_hat + 0.5 * bel.s)
 
 
 def forecast(st: VikingState, hyper: VikingHyper, x: np.ndarray):
@@ -330,8 +333,8 @@ def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[
     steps its B filters at once: ``x`` is ``(B, d)``, ``y`` is ``(B,)``, and
     every field of the record but ``t`` and ``cum_sq_err`` gains the leading
     filter axis. Each filter's arithmetic and random draws are the ones it
-    gets alone, bit for bit. A single filter steps without the axis, through
-    plain vector and float calls, which is cheaper than a batch of one.
+    gets alone, bit for bit. A single filter steps without the axis (see the
+    module docstring).
     Non-finite covariates or observations raise ``ValueError`` and numerical
     singularities ``SingularMatrixError``, naming the step and, in a batch,
     the filter (also as the exception's ``filter``).
@@ -370,7 +373,7 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
     # Once per step, not per pass (see the module docstring): the latent
     # prior's zero test (zero: b is known, no b bound) and the bound's terms
     # at b_prev. C = prop and the prior are inverted per pass, as c07 counts.
-    Sigma_cur = Sigma_prev + hyper.rho_b * eye(m)
+    Sigma_cur = Sigma_prev + hyper.rho_b * np.eye(m)
     learn_b = hyper.learn_b and Sigma_cur.any()
     point = expansion_point(transform, b_prev) if learn_b else None
 
@@ -380,7 +383,7 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
         state_new = update_state_moments(A_inv, a_cur, s_cur, prior_mean, x, y)
         if hyper.learn_a:
             resid = y - _dot(state_new.mean, x)
-            r2 = resid * resid + _quad(x, state_new.cov)
+            r2 = resid * resid + quad_form(x, state_new.cov)
             s_cur = update_s(r2, a_cur, s_prior)
             a_cur = update_a(r2, a_prev, s_cur, s_prior, m_a)
         if learn_b:
@@ -411,7 +414,10 @@ def viking_run_batch(x: np.ndarray, y: np.ndarray, hyper: VikingHyper, inits: li
     ``x`` is ``(n, B, d)`` and ``y`` ``(n, B)``; the inits must be at the same
     step. The outputs are written into ``(n, B)`` columns, and each filter's
     trace is the one it gets alone. ``keep_state`` adds the ``theta``/``cov``
-    columns. One filter steps without the filter axis, which is cheaper.
+    columns. One filter steps without the filter axis (see the module
+    docstring). With ``learn_b`` on, a filter whose latent is uncertain and
+    not positive in every coordinate (``q0 <= 0``), where the ``b`` bound is
+    undefined, raises ``ValueError`` naming it before the first step.
     """
     n, B, d = x.shape
     if d != hyper.transform.dim:
@@ -419,8 +425,13 @@ def viking_run_batch(x: np.ndarray, y: np.ndarray, hyper: VikingHyper, inits: li
     if y.shape != (n, B) or len(inits) != B:
         raise ValueError(f"{len(inits)} initial states and observations of shape {y.shape} for x of shape {x.shape}")
     st = inits[0] if B == 1 else stack_states(inits)
-    xs, ys = (x[:, 0], y[:, 0]) if B == 1 else (x, y)
     m = hyper.transform.latent_dim
+    if hyper.learn_b:
+        learned = (st.beliefs.Sigma + hyper.rho_b * np.eye(m)).any(axis=(-2, -1))
+        bad = np.flatnonzero(learned & (st.beliefs.b_hat <= 0.0).any(axis=-1))
+        if bad.size:
+            raise _step_error(ValueError("q0 must be > 0 in every coordinate when b is learned"), st, int(bad[0]))
+    xs, ys = (x[:, 0], y[:, 0]) if B == 1 else (x, y)
     names = _RUN_COLUMNS + (("theta", "cov") if keep_state else ())
     cols = {name: np.empty((n, B) + shape) for name, shape in
             zip(names, ((),) * 5 + ((m,), (m,), (d,), (d, d)))}

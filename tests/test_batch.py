@@ -170,6 +170,33 @@ def test_viking_batch_columns_match_single_filter_steps(name, monkeypatch):
         _assert_matches_alone(traces, x, y, hyper, inits, point.label)
 
 
+@pytest.mark.parametrize("kind, d", [(vk.TransformKind.DIAGONAL, 5), (vk.TransformKind.DIAGONAL, 20),
+                                     (vk.TransformKind.SCALAR, 3)], ids=["diagonal-5", "diagonal-20", "scalar-3"])
+def test_batch_of_one_matches_the_no_axis_step(kind, d):
+    # a single filter keeps the no-axis path only because it is faster (vb
+    # module docstring); a batch of one must give the same bits
+    rng = np.random.default_rng(d)
+    x = rng.uniform(size=(50, d))
+    x[:, -1] = 1.0
+    y = np.einsum("td,td->t", x, np.cumsum(0.1 * rng.standard_normal((50, d)), axis=0)) + rng.standard_normal(50)
+    hyper = vk.VikingHyper(vk.NoiseTransform(kind, d), np.eye(d), n_mc=3)
+    alone = vk.default_initial_state(hyper.transform, seed=d)
+    batch = vk.vb.stack_states([vk.default_initial_state(hyper.transform, seed=d)])
+    for t in range(len(y)):
+        alone, want = vk.viking_step(alone, hyper, x[t], float(y[t]))
+        batch, got = vk.viking_step(batch, hyper, x[t:t + 1], y[t:t + 1])
+        for f in fields(want):
+            value = getattr(got, f.name)
+            assert _same_bits(value if f.name in ("t", "cum_sq_err") else value[0], getattr(want, f.name)), \
+                (t, f.name)
+    for got, want in [(batch.state.mean[0], alone.state.mean), (batch.state.cov[0], alone.state.cov),
+                      (batch.beliefs.a_hat[0], alone.beliefs.a_hat), (batch.beliefs.s[0], alone.beliefs.s),
+                      (batch.beliefs.b_hat[0], alone.beliefs.b_hat), (batch.beliefs.Sigma[0], alone.beliefs.Sigma)]:
+        assert _same_bits(got, want)
+    assert batch.step_index == alone.step_index
+    assert batch.rng[0].bit_generator.state == alone.rng.bit_generator.state
+
+
 def test_viking_batch_rejects_mixing_zero_and_nonzero_latent_covariance():
     hyper = vk.VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), rho_b=0.0, n_mc=2, learn_b=False)
     st = vk.vb.stack_states([vk.default_initial_state(hyper.transform, sigma0=s0, seed=1) for s0 in (0.0, 0.1)])

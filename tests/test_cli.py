@@ -184,6 +184,19 @@ def test_filter_non_finite_dataset_exits_1(tmp_path, capsys):
     assert not (tmp_path / "trace-viking-diagonal.csv").exists()
 
 
+def test_filter_non_finite_initial_belief_exits_1(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_dataset_csv(gen_wellspecified(gen_design(DesignKind.IID, 20, 3), seed=3), data)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("a0 = nan\n", encoding="utf-8")
+    code = run_cli("filter", "--data", str(data), "--method", "viking", "--n-mc", "2",
+                   "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: initial a0 = nan" in err
+    assert not (tmp_path / "trace-viking-diagonal.csv").exists()
+
+
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # acceptance check c11's two commands, each in a child process under one
     # and under two OpenBLAS threads: the CSV bytes must agree

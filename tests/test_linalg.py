@@ -69,6 +69,26 @@ def test_psd_singular_matrix_takes_the_jitter_retry():
     assert vk.spd_inversion_count() == 3
 
 
+def test_jitter_retry_factors_each_failing_matrix_twice(monkeypatch):
+    # the plain factor that failed in place is not retried: the next one is
+    # the jittered one
+    import viking.linalg
+
+    calls = []
+    dpotrf = viking.linalg.dpotrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(viking.linalg, "dpotrf", counted)
+    m = np.ones((2, 2))
+    spd_inv(m)
+    assert len(calls) == 2
+    spd_inv(np.stack([np.eye(2), m, 2.0 * np.eye(2)]))
+    assert len(calls) == 2 + 4
+
+
 def test_zero_matrix_names_its_stack_position():
     with pytest.raises(SingularMatrixError, match="no usable jitter scale") as info:
         spd_inv(np.zeros((3, 3)))

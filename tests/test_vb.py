@@ -269,6 +269,27 @@ def test_known_latent_cell_inverts_once_per_pass():
     assert vk.spd_inversion_count() == cfg.n * cfg.n_iter
 
 
+@pytest.mark.parametrize("field, value", [("a0", math.nan), ("p0", math.inf), ("q0", math.nan),
+                                          ("q0", [0.1, -0.1]), ("s0", math.inf), ("s0", -0.1),
+                                          ("sigma0", -0.1), ("p0", -1.0)])
+def test_initial_state_names_a_bad_field(field, value):
+    with pytest.raises(ValueError, match=rf"^initial {field} = "):
+        default_initial_state(vk.NoiseTransform.diagonal(2), **{field: value})
+
+
+def test_learned_latent_at_zero_names_q0():
+    # q0 = 0 puts b0 = expm1(q0) at the kink, where the b bound is undefined;
+    # with b learned this used to fail inside the bound, naming neither q0,
+    # the step nor the seed
+    from viking.harness import ExperimentConfig, ExperimentKind, InitOverrides, Method, make_dataset, run_cell
+
+    cfg = ExperimentConfig(ExperimentKind.MS_IID, Method.VIKING, n=40, seeds=(1,), n_mc=3,
+                           init=InitOverrides(q0=0.0))
+    (point,) = vk.grid_points(cfg)
+    with pytest.raises(ValueError, match=r"^seed 1, .*step 0: q0 must be > 0"):
+        run_cell(cfg, point, make_dataset(cfg, 1), 1)
+
+
 def test_update_b_matches_coordinate_descent():
     rng = make_rng(7)
     for _ in range(50):
