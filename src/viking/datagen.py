@@ -10,6 +10,13 @@ Every generator derives independent PCG64 streams from its integer seed
 (design, initial state, state noise, observation noise, mixture), so the
 recorded truth can be replayed against the exact noise stream that produced
 ``y``.
+
+The draws are taken as arrays; the two step-by-step recursions, the
+non-i.i.d. design's reflected walk and the mixture's contracting states, run
+coordinate by coordinate on Python floats. Those are the IEEE adds and
+multiplies numpy does row by row, in the same order and with no fused
+multiply-add, so the values are the same bits; one numpy call per row costs
+more than the row's arithmetic.
 """
 
 from __future__ import annotations
@@ -69,9 +76,23 @@ class Dataset:
         return self.x.shape[1]
 
 
-def reflect_unit(z: np.ndarray) -> np.ndarray:
-    """Map values outside [0, 1] back inside via ``ceil(z) - z``."""
-    return np.where((z >= 0.0) & (z <= 1.0), z, np.ceil(z) - z)
+def reflect_unit(z):
+    """Map values outside [0, 1] back inside via ``ceil(z) - z``: a float, or
+    each value of an array (the same bits either way)."""
+    if isinstance(z, np.ndarray):
+        return np.where((z >= 0.0) & (z <= 1.0), z, np.ceil(z) - z)
+    return z if 0.0 <= z <= 1.0 else math.ceil(z) - z
+
+
+def _walk(start: float, steps: list[float]) -> list[float]:
+    """The reflected walk of one design coordinate, ``start`` first."""
+    z, path = start, [start]
+    for step in steps:
+        z += step
+        if not 0.0 <= z <= 1.0:  # reflect_unit would return z as it is
+            z = reflect_unit(z)
+        path.append(z)
+    return path
 
 
 def gen_design(kind: DesignKind, n: int, seed: int, walk_var: float = DEFAULT_WALK_VAR) -> np.ndarray:
@@ -79,19 +100,22 @@ def gen_design(kind: DesignKind, n: int, seed: int, walk_var: float = DEFAULT_WA
 
     The non-i.i.d. kind random-walks the four uniform coordinates with
     per-step variance ``walk_var``, reflecting excursions back into [0, 1].
+    A ``walk_var`` that is negative or not finite raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if not (math.isfinite(walk_var) and walk_var >= 0.0):
+        raise ValueError(f"walk_var = {walk_var} must be finite and >= 0")
     rng = make_rng(seed, STREAM_DESIGN)
     x = np.empty((n, 5))
     x[:, 4] = 1.0
     if kind is DesignKind.IID:
         x[:, :4] = rng.random((n, 4))
         return x
-    x[0, :4] = rng.random(4)
+    start = rng.random(4)
     steps = rng.normal(0.0, math.sqrt(walk_var), size=(n - 1, 4)) if n > 1 else np.empty((0, 4))
-    for t in range(1, n):
-        x[t, :4] = reflect_unit(x[t - 1, :4] + steps[t - 1])
+    for j, column in enumerate(steps.T.tolist()):
+        x[:, j] = _walk(float(start[j]), column)
     return x
 
 
@@ -152,10 +176,9 @@ def gen_misspecified(design: np.ndarray, seed: int, sigma2_override=None, q_diag
         init = make_rng(seed, STREAM_THETA0).standard_normal((2, d))
     noise = make_rng(seed, STREAM_STATE_NOISE).standard_normal((n, 2, d)) * np.sqrt(q_diag)[:, None, :]
     states = np.empty((n, 2, d))
-    prev = init
-    for t in range(n):
-        prev = MS_CONTRACTION * prev + noise[t]
-        states[t] = prev
+    for (k, j), start in np.ndenumerate(init):
+        v = float(start)
+        states[:, k, j] = [v := MS_CONTRACTION * v + e for e in noise[:, k, j].tolist()]
     mix = make_rng(seed, STREAM_MIXTURE).integers(0, 2, size=n)
     theta = states[np.arange(n), mix]
     y = np.einsum("td,td->t", theta, design) + np.sqrt(sigma2) * make_rng(seed, STREAM_OBS_NOISE).standard_normal(n)

@@ -208,7 +208,8 @@ def _kalman_points(cfg: ExperimentConfig, points: list[GridPoint], datasets: lis
     Every (grid point, dataset) cell runs in one recursion, with the grid
     points on a leading filter axis; then each point's traces are yielded as
     views into its blocks. Each trace is the one its cell gets alone.
-    ``keep_state`` adds the ``theta``/``cov`` columns.
+    ``keep_state`` adds the ``theta``/``cov`` columns. A non-finite input
+    names its dataset's seed and its step.
     """
     x = np.stack([ds.x for ds in datasets], axis=1)
     y = np.stack([ds.y for ds in datasets], axis=1)
@@ -225,7 +226,12 @@ def _kalman_points(cfg: ExperimentConfig, points: list[GridPoint], datasets: lis
         Q = np.stack([_constant_q_matrix(point.shape, point.q, d) for point in points])[:, None]
         sigma2 = float(cfg.sigma2_const)
     init = GaussianState(np.zeros(d), cfg.init.p0 * np.eye(d))
-    blocks = kalman_run_grid(x, y, transition_for(cfg, d), Q, sigma2, init, keep_state)
+    try:
+        blocks = kalman_run_grid(x, y, transition_for(cfg, d), Q, sigma2, init, keep_state)
+    except ValueError as exc:
+        if not hasattr(exc, "filter"):
+            raise
+        raise ValueError(f"seed {datasets[exc.filter].seed}, {exc}") from exc
     for g in range(len(points)):
         yield kalman_traces(y, sigma2, blocks, g)
 
@@ -262,7 +268,7 @@ def _viking_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Datase
     # run as their own batch. A batch stays unmixed, because a zero
     # covariance either stays zero (a known b, with rho_b = 0) or turns
     # nonzero at the first b update, for all of its filters at once.
-    zero = [not (st.beliefs.Sigma + hyper.rho_b * np.eye(transform.latent_dim)).any() for st in inits]
+    zero = [not st.beliefs.latent_prior(hyper.rho_b)[1] for st in inits]
     traces = [None] * len(inits)
     for kind in dict.fromkeys(zero):
         idx = [i for i, z in enumerate(zero) if z == kind]
@@ -283,7 +289,7 @@ def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) ->
     """One (grid point, seed) run over an already generated dataset, with the
     ``theta``/``cov`` columns: the one-seed case of the batched runners."""
     if cfg.method is not Method.VIKING:
-        return _kalman_cells(cfg, point, [ds], keep_state=True)[0]
+        return _kalman_cells(cfg, point, [replace(ds, seed=seed)], keep_state=True)[0]
     return _viking_cells(cfg, point, [ds], [seed], keep_state=True)[0]
 
 

@@ -5,6 +5,18 @@ variance beliefs are degenerate, and as the known-variance oracle in the
 synthetic experiments. The posterior update is written as a rank-one
 correction of the propagated prior covariance, shared verbatim with the
 adaptive filter's state update so the two paths agree bit for bit.
+
+A transition that is a multiple ``c·I`` of the identity (``I`` for the
+random walks, ``0.9·I`` for the mixture experiments) is applied by scaling:
+``c * mean`` and ``sym((c * cov) * c) + Q`` instead of ``K @ mean`` and
+``sym(K @ cov @ K.T) + Q``. For a finite state these are the same bits:
+each entry of the products is one nonzero term ``c·v`` (or ``(c·v)·c``)
+plus exact zeros, which leave it unchanged, and matmul starts its sums at
+``+0.0``, so a zero entry comes out ``+0.0``; the scaled forms add ``+0.0``
+to turn a ``-0.0`` into ``+0.0`` too (a ``-0.0`` forecast would print
+differently). :func:`kalman_run_grid` finds ``c`` once per run and
+:func:`kalman_step` once per call (:func:`transition_scale`); any other
+transition, such as the resonator's rotation, is multiplied out.
 """
 
 from __future__ import annotations
@@ -51,8 +63,9 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff,
-                    x: np.ndarray, y) -> GaussianState:
-    """Posterior from one scalar observation ``y = x.theta + noise(sigma_eff)``.
+                    x: np.ndarray, y, prediction) -> GaussianState:
+    """Posterior from one scalar observation ``y = x.theta + noise(sigma_eff)``,
+    given its prediction ``x·prior_mean`` (``_dot(x, prior_mean)``).
 
     Every argument may carry the same leading (filter) axes; each filter's
     arithmetic is the same as when it is passed alone.
@@ -60,7 +73,7 @@ def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff,
     cx = _matvec(prior_cov, x)
     denom = _dot(x, cx) + sigma_eff
     post_cov = sym(prior_cov - cx[..., :, None] * (cx / denom[..., None])[..., None, :])
-    resid = y - _dot(x, prior_mean)
+    resid = y - prediction
     post_mean = prior_mean + _matvec(post_cov, x) * (resid / sigma_eff)[..., None]
     return GaussianState(post_mean, post_cov)
 
@@ -81,22 +94,55 @@ def _check_sigma2(sigma2) -> None:
         raise ValueError(f"observation variance must be > 0, got {np.min(sigma2)}")
 
 
-def _predict_update(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2,
+def _check_inputs(x: np.ndarray, y) -> None:
+    """Every covariate and observation is finite; else a ``ValueError`` naming
+    the first bad step and series of an ``(n, B, d)``/``(n, B)`` pair, with
+    the series as the exception's ``filter``."""
+    if np.isfinite(x).all() and np.isfinite(y).all():
+        return
+    bad = ~(np.isfinite(x).all(axis=-1) & np.isfinite(y))
+    if bad.ndim < 2:
+        raise ValueError("non-finite covariates or observation")
+    t, b = np.argwhere(bad)[0]
+    err = ValueError(f"step {t}, series {b}: non-finite covariates or observation")
+    err.filter = int(b)
+    raise err
+
+
+def transition_scale(K: np.ndarray) -> np.ndarray | float:
+    """``c`` as a float when ``K`` is ``c·I`` for a finite ``c``, else ``K``:
+    the transition as :func:`_predict_update` applies it."""
+    c = float(K[0, 0])
+    return c if np.isfinite(c) and np.array_equal(K, c * np.eye(len(K))) else K
+
+
+def _propagate(state: GaussianState, K: np.ndarray | float, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prior mean and covariance, ``K @ mean`` and ``sym(K @ cov @ K.T) + Q``;
+    a float ``K`` is the scale ``c`` of a transition ``c·I``, applied by
+    scaling with the same bits (see the module docstring)."""
+    if isinstance(K, float):
+        return K * state.mean + 0.0, sym(K * state.cov * K + 0.0) + Q
+    return _matvec(K, state.mean), sym(K @ state.cov @ K.T) + Q
+
+
+def _predict_update(state: GaussianState, K: np.ndarray | float, Q: np.ndarray, sigma2,
                     x: np.ndarray, y) -> tuple[GaussianState, np.ndarray, np.ndarray]:
-    """One unchecked predict/update cycle; arguments may carry leading filter axes."""
-    prior_mean = _matvec(K, state.mean)
-    prior_cov = sym(K @ state.cov @ K.T) + Q
+    """One unchecked predict/update cycle; arguments may carry leading filter
+    axes, and ``K`` is as :func:`_propagate` takes it."""
+    prior_mean, prior_cov = _propagate(state, K, Q)
     prediction = _dot(x, prior_mean)
     pred_var = quad_form(x, prior_cov) + sigma2
-    return rank_one_update(prior_mean, prior_cov, sigma2, x, y), prediction, pred_var
+    return rank_one_update(prior_mean, prior_cov, sigma2, x, y, prediction), prediction, pred_var
 
 
 def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: float,
                 x: np.ndarray, y: float) -> tuple[GaussianState, float, float]:
-    """One predict/update cycle; returns (posterior, prediction, pred_var)."""
+    """One predict/update cycle; returns (posterior, prediction, pred_var).
+    A non-finite ``x`` or ``y`` raises ``ValueError``."""
     _check_sigma2(sigma2)
     _check_psd(Q)
-    post, prediction, pred_var = _predict_update(state, K, Q, float(sigma2), x, y)
+    _check_inputs(x, y)
+    post, prediction, pred_var = _predict_update(state, transition_scale(K), Q, float(sigma2), x, y)
     return post, float(prediction), float(pred_var)
 
 
@@ -109,8 +155,10 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     grid axis and are never copied per point. ``Q`` is ``(G, 1, d, d)``, one
     matrix per grid point for every step and series, or ``(n, 1, B, d, d)``,
     one per step and series at a single grid point; ``sigma2`` is ``(n, B)``
-    or broadcasts to it. Every Q and sigma2 is validated once, before the
-    first step. Returns the ``(n, G, B)`` forecast and forecast-variance
+    or broadcasts to it. Every Q, sigma2, covariate and observation is
+    validated once, before the first step; a non-finite input raises
+    ``ValueError`` naming its first step and series (also as the exception's
+    ``filter``). Returns the ``(n, G, B)`` forecast and forecast-variance
     blocks, then ``theta`` ``(n, G, B, d)`` and ``cov`` ``(n, G, B, d, d)``
     with ``keep_state`` (else ``None``). Each filter's outputs are the ones
     it gets alone.
@@ -124,6 +172,8 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     _check_psd(Q)
     sigma2 = np.broadcast_to(sigma2, (n, B))  # a ValueError unless it broadcasts
     _check_sigma2(sigma2)
+    _check_inputs(x, y)
+    K = transition_scale(K)
     state = GaussianState(np.broadcast_to(init.mean, (G, B, d)), np.broadcast_to(init.cov, (G, B, d, d)))
     forecast, forecast_var = np.empty((n, G, B)), np.empty((n, G, B))
     theta, cov = (np.empty((n, G, B, d)), np.empty((n, G, B, d, d))) if keep_state else (None, None)

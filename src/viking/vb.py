@@ -106,6 +106,15 @@ class VarianceBeliefs:
     b_hat: np.ndarray
     Sigma: np.ndarray
 
+    def latent_prior(self, rho_b: float, learn_b: bool = True) -> tuple[np.ndarray, bool]:
+        """The latent's prior at the next step, ``Sigma + rho_b I``, and
+        whether ``b`` is learned there: ``learn_b`` and a nonzero prior. A
+        zero prior (``rho_b = 0``, no latent uncertainty) means ``b`` is
+        known. For a batch the answer is its filters' together, which a
+        batch never mixes (see :func:`estimate_precision`)."""
+        prior = self.Sigma + rho_b * np.eye(self.Sigma.shape[-1])
+        return prior, learn_b and bool(prior.any())
+
 
 @dataclass
 class VikingState:
@@ -228,7 +237,7 @@ def update_state_moments(A_inv: np.ndarray, a_hat, s, prior_mean: np.ndarray,
     ``A_inv`` plays the role of the propagated prior covariance; the
     effective observation variance is ``exp(a_hat - s/2)``.
     """
-    return rank_one_update(prior_mean, A_inv, _exp(a_hat - 0.5 * s), x, y)
+    return rank_one_update(prior_mean, A_inv, _exp(a_hat - 0.5 * s), x, y, _dot(x, prior_mean))
 
 
 def update_s(r2, a_hat, s_prior):
@@ -358,7 +367,6 @@ def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[
 
 def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[VikingState, StepRecord]:
     transform = hyper.transform
-    m = transform.latent_dim
     bel = st.beliefs
     prior_mean, KPK, prop = _propagate(st, hyper)
     fc_mean, fc_var = _predictive(x, prior_mean, prop, bel)
@@ -373,8 +381,7 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
     # Once per step, not per pass (see the module docstring): the latent
     # prior's zero test (zero: b is known, no b bound) and the bound's terms
     # at b_prev. C = prop and the prior are inverted per pass, as c07 counts.
-    Sigma_cur = Sigma_prev + hyper.rho_b * np.eye(m)
-    learn_b = hyper.learn_b and Sigma_cur.any()
+    Sigma_cur, learn_b = bel.latent_prior(hyper.rho_b, hyper.learn_b)
     point = expansion_point(transform, b_prev) if learn_b else None
 
     state_new = st.state
@@ -426,11 +433,10 @@ def viking_run_batch(x: np.ndarray, y: np.ndarray, hyper: VikingHyper, inits: li
         raise ValueError(f"{len(inits)} initial states and observations of shape {y.shape} for x of shape {x.shape}")
     st = inits[0] if B == 1 else stack_states(inits)
     m = hyper.transform.latent_dim
-    if hyper.learn_b:
-        learned = (st.beliefs.Sigma + hyper.rho_b * np.eye(m)).any(axis=(-2, -1))
-        bad = np.flatnonzero(learned & (st.beliefs.b_hat <= 0.0).any(axis=-1))
-        if bad.size:
-            raise _step_error(ValueError("q0 must be > 0 in every coordinate when b is learned"), st, int(bad[0]))
+    bad = [b for b, init in enumerate(inits)
+           if init.beliefs.latent_prior(hyper.rho_b, hyper.learn_b)[1] and (init.beliefs.b_hat <= 0.0).any()]
+    if bad:
+        raise _step_error(ValueError("q0 must be > 0 in every coordinate when b is learned"), st, bad[0])
     xs, ys = (x[:, 0], y[:, 0]) if B == 1 else (x, y)
     names = _RUN_COLUMNS + (("theta", "cov") if keep_state else ())
     cols = {name: np.empty((n, B) + shape) for name, shape in

@@ -173,3 +173,37 @@ def b_bound(b: np.ndarray, Sigma: np.ndarray, b_prev: np.ndarray, Sigma_prev: np
 def rand_spd(rng: np.random.Generator, d: int, ridge: float = 0.5) -> np.ndarray:
     a = rng.standard_normal((d, d))
     return a @ a.T / d + ridge * np.eye(d)
+
+
+def _stream(seed: int, stream: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+def noniid_design_rowwise(n: int, seed: int, walk_var: float) -> np.ndarray:
+    """The non-i.i.d. design as a row-wise numpy recursion: each row is the
+    previous one plus its step, with values outside [0, 1] mapped to
+    ``ceil(z) - z``. Draws from the design stream (spawn key 0)."""
+    rng = _stream(seed, 0)
+    x = np.empty((n, 5))
+    x[:, 4] = 1.0
+    x[0, :4] = rng.random(4)
+    steps = rng.normal(0.0, math.sqrt(walk_var), size=(n - 1, 4)) if n > 1 else np.empty((0, 4))
+    for t in range(1, n):
+        z = x[t - 1, :4] + steps[t - 1]
+        x[t, :4] = np.where((z >= 0.0) & (z <= 1.0), z, np.ceil(z) - z)
+    return x
+
+
+def misspecified_states_rowwise(n: int, seed: int, q_diag: np.ndarray, theta0=None) -> np.ndarray:
+    """The mixture's two contracting states, ``(n, 2, d)``, as a row-wise numpy
+    recursion ``state_t = 0.9 state_{t-1} + noise_t``. Initial states from
+    spawn key 1 (or ``theta0`` for both), noise from spawn key 2."""
+    d = q_diag.shape[1]
+    prev = np.tile(np.asarray(theta0, dtype=float), (2, 1)) if theta0 is not None \
+        else _stream(seed, 1).standard_normal((2, d))
+    noise = _stream(seed, 2).standard_normal((n, 2, d)) * np.sqrt(q_diag)[:, None, :]
+    states = np.empty((n, 2, d))
+    for t in range(n):
+        prev = 0.9 * prev + noise[t]
+        states[t] = prev
+    return states

@@ -227,3 +227,33 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     files = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
     assert files and files == sorted(p.relative_to(b) for p in b.rglob("*.csv"))
     assert [p for p in files if (a / p).read_bytes() != (b / p).read_bytes()] == []
+
+
+@pytest.mark.parametrize("method", ["kalman-oracle", "kalman-constant"])
+def test_kalman_filter_non_finite_dataset_exits_1(tmp_path, capsys, method):
+    assert run_cli("simulate", "--experiment", "ms-noniid", "--n", "30", "--seed", "2", "--out", str(tmp_path)) == 0
+    data = tmp_path / "ms-noniid-seed2.csv"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    fields = lines[5].split(",")  # step 4
+    fields[lines[0].split(",").index("y")] = "nan"
+    lines[5] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("filter", "--data", str(data), "--experiment", "ms-noniid", "--method", method,
+                   "--out", str(tmp_path))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "step 4" in err and "non-finite" in err
+    assert not list(tmp_path.glob("trace-*.csv"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_experiment_bad_walk_var_exits_1(tmp_path, capsys, value):
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text(f"walk_var = {value}\n", encoding="utf-8")
+    code = run_cli("experiment", "--experiment", "ms-noniid", "--method", "kalman-constant", "--seeds", "1,2",
+                   "--n", "30", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: walk_var" in captured.err and "mse=" not in captured.out
+    assert not list(tmp_path.rglob("summary.csv"))

@@ -166,3 +166,50 @@ def test_csv_without_truth_mix(tmp_path):
     back = read_dataset_csv(path)
     assert back.truth.mix is None
     np.testing.assert_array_equal(back.y, ds.y)
+
+
+# ------------------------------------------- float recursions, same bytes
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("walk_var", [0.0, 1e-3, 1e-2])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_noniid_design_matches_the_rowwise_reference(n, walk_var):
+    from oracles import noniid_design_rowwise
+
+    for seed in (1, 2, 17, 40):
+        got = gen_design(DesignKind.NONIID, n, seed, walk_var=walk_var)
+        assert _same_bytes(got, noniid_design_rowwise(n, seed, walk_var)), (n, walk_var, seed)
+
+
+@pytest.mark.parametrize("walk_var", [0.0, 1e-3, 1e-2])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_misspecified_states_match_the_rowwise_reference(n, walk_var):
+    from oracles import misspecified_states_rowwise
+
+    for seed in (1, 2, 17, 40):
+        ds = gen_misspecified(gen_design(DesignKind.NONIID, n, seed, walk_var=walk_var), seed)
+        states = misspecified_states_rowwise(n, seed, ds.truth.q_diag)
+        assert _same_bytes(ds.truth.theta, states[np.arange(n), ds.truth.mix]), (n, walk_var, seed)
+    theta0 = np.array([0.5, -1.0, 0.0, -0.0, 2.0])
+    ds = gen_misspecified(gen_design(DesignKind.IID, n, 3), 3, theta0=theta0)
+    states = misspecified_states_rowwise(n, 3, ds.truth.q_diag, theta0=theta0)
+    assert _same_bytes(ds.truth.theta, states[np.arange(n), ds.truth.mix])
+
+
+def test_reflect_unit_gives_the_same_bits_for_a_float_and_an_array():
+    values = [0.0, -0.0, 1.0, 0.5, 1.2, -0.1, 2.0, -1.0, 1.0 + 2.0 ** -52, -2.0 ** -60, 3.75, -7.25, 1e300, -1e300]
+    array = reflect_unit(np.array(values))
+    for z, want in zip(values, array):
+        got = reflect_unit(z)
+        assert isinstance(got, float) and _same_bytes(np.float64(got), want), z
+
+
+@pytest.mark.parametrize("walk_var", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_design_rejects_a_bad_walk_var(walk_var):
+    for kind in (DesignKind.IID, DesignKind.NONIID):
+        with pytest.raises(ValueError, match="walk_var"):
+            gen_design(kind, 10, 1, walk_var=walk_var)

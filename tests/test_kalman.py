@@ -186,3 +186,89 @@ def test_grid_rejects_one_non_psd_q_before_the_first_step(monkeypatch):
         bad[g, 0, 1, 1] = -0.5
         with pytest.raises(ValueError, match="positive semidefinite"):
             kalman_run_grid(x, y, K, bad, 1.0, init, keep_state=False)
+
+
+# ------------------------------------------ c·I transitions applied by scaling
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()  # the sign of a zero included
+
+
+@pytest.mark.parametrize("c", [1.0, 0.9, -0.5, 0.0])
+def test_scaled_propagate_matches_the_matmul_form(c):
+    from viking.kalman import _propagate, transition_scale
+    from viking.linalg import sym
+
+    d = 5
+    K = c * np.eye(d)
+    assert transition_scale(K) == c and isinstance(transition_scale(K), float)
+    rng = np.random.default_rng(11)
+    Q = np.stack([rand_spd(rng, d, ridge=0.1) for _ in range(4)])[:, None]
+    Q[1, 0, 0, 1] = Q[1, 0, 1, 0] = 0.0
+    Q[2, 0, 2, 3] = Q[2, 0, 3, 2] = -0.0
+    states = [GaussianState(np.zeros(d), np.eye(d)),                        # the zero initial mean
+              GaussianState(-np.zeros(d), -np.zeros((d, d))),               # signed zeros
+              GaussianState(np.zeros((4, 3, d)), np.broadcast_to(np.eye(d), (4, 3, d, d)))]
+    for _ in range(5):
+        mean = rng.standard_normal((4, 3, d))
+        cov = np.stack([[rand_spd(rng, d) for _ in range(3)] for _ in range(4)])
+        mean[0, 1, 2] = -0.0
+        mean[1, 0, 0] = 0.0
+        cov[2, :, 2, 3] = cov[2, :, 3, 2] = -0.0  # where Q is -0.0 too
+        cov[3, 1, 0, 4] = 0.0
+        states.append(GaussianState(mean, cov))
+    for state in states:
+        q = Q if state.mean.ndim > 1 else Q[0, 0]
+        want_mean = (K @ state.mean[..., None])[..., 0]
+        want_cov = sym(K @ state.cov @ K.T) + q
+        got_mean, got_cov = _propagate(state, transition_scale(K), q)
+        assert _bits(got_mean) == _bits(want_mean)
+        assert _bits(got_cov) == _bits(want_cov)
+        assert np.array_equal(np.signbit(got_mean), np.signbit(want_mean))
+        assert np.array_equal(np.signbit(got_cov), np.signbit(want_cov))
+
+
+def test_other_transitions_keep_the_matmul_form():
+    from viking.datagen import resonator_transition
+    from viking.kalman import transition_scale
+
+    for K in (resonator_transition(), np.diag([1.0, 0.9, 0.9]), np.array([[1.0, 1e-300], [0.0, 1.0]]),
+              np.full((2, 2), np.nan), np.diag([np.inf, np.inf])):
+        assert transition_scale(K) is K
+
+
+def test_step_rejects_non_finite_input():
+    state = GaussianState(np.zeros(2), np.eye(2))
+    for x, y in ((np.array([np.nan, 1.0]), 0.5), (np.ones(2), np.inf), (np.array([1.0, -np.inf]), 0.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            kalman_step(state, np.eye(2), 0.1 * np.eye(2), 1.0, x, y)
+
+
+def test_grid_names_the_first_non_finite_step_and_series_before_the_first_step(monkeypatch):
+    x, y, K, Qs, init = _grid_inputs()
+    x[7, 0, 2] = np.nan
+    y[4, 2] = np.inf
+    y[4, 1] = np.nan
+    monkeypatch.setattr(viking.kalman, "_predict_update", _no_steps)
+    with pytest.raises(ValueError, match=r"^step 4, series 1: non-finite") as info:
+        kalman_run_grid(x, y, K, Qs, 1.0, init, keep_state=False)
+    assert info.value.filter == 1
+
+
+def test_experiment_names_the_seed_of_a_non_finite_observation(monkeypatch):
+    from viking import harness
+    from viking.harness import ExperimentConfig, ExperimentKind, Method, run_experiment
+
+    make = harness.make_dataset
+
+    def with_nan(cfg, seed):
+        ds = make(cfg, seed)
+        if seed == 5:
+            ds.y[4] = np.nan
+        return ds
+
+    monkeypatch.setattr(harness, "make_dataset", with_nan)
+    for method in (Method.KALMAN_CONSTANT, Method.KALMAN_ORACLE):
+        cfg = ExperimentConfig(ExperimentKind.MS_NONIID, method, n=30, seeds=(3, 5, 8))
+        with pytest.raises(ValueError, match=r"^seed 5, step 4, series 1: non-finite"):
+            run_experiment(cfg)
