@@ -15,7 +15,16 @@ leading filter axis.
 Output layout: ``<out>/<experiment>/<method>-<setting>/seed<k>.csv`` per-seed
 traces (for the selected grid point) plus ``summary.csv`` alongside them.
 All randomness flows from the configured seeds; repeated runs produce
-byte-identical files, whatever the BLAS thread count.
+byte-identical files whatever the BLAS thread count, given the same OpenBLAS
+kernel, the same numpy and scipy versions and the same inputs. Across
+kernels (OpenBLAS picks one per CPU, or ``OPENBLAS_CORETYPE`` names it) they
+are not: BLAS products and LAPACK factors round differently per kernel, so
+the bytes differ in the last digits.
+
+Every configured float is checked once, when :class:`ExperimentConfig` is
+built: a random-walk variance, a ``q_grid`` entry or an initial ``p0`` that
+is negative or not finite, or a ``sigma2_const`` that is not finite and > 0,
+raises ``ValueError`` naming its key.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .kalman import P0, GaussianState, kalman_run_grid, kalman_traces
 from .linalg import SingularMatrixError
 from .records import StepRecord, Trace, fmt, write_lines, write_table, write_trace_csv
 from .transforms import NoiseTransform, TransformKind as Setting  # Setting: the noise shape VIKING learns
-from .vb import VikingHyper, default_initial_state, viking_run_batch
+from .vb import VikingHyper, _check_nonnegative, default_initial_state, viking_run_batch
 
 DEFAULT_RHO_GRID = DEFAULT_Q_GRID = tuple(math.exp(-i) for i in range(1, 11))
 
@@ -108,8 +117,15 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 (the second-half metric needs at least one point)")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if not self.q_grid or not self.q_shapes:
+        if not self.q_grid or not self.q_shapes or () in (self.rho_a, self.rho_b):
             raise ValueError("grids must be non-empty")
+        for key in ("rho_a", "rho_b", "q_grid"):
+            value = getattr(self, key)
+            for v in value if isinstance(value, tuple) else () if value is None else (value,):
+                _check_nonnegative(key, v)
+        _check_nonnegative("initial p0", self.init.p0)  # the Kalman methods' one initial belief
+        if not 0.0 < self.sigma2_const < math.inf:  # NaN fails too
+            raise ValueError(f"sigma2_const = {self.sigma2_const} must be finite and > 0")
 
 
 def mse_second_half(trace: Trace | list[StepRecord]) -> float:

@@ -4,7 +4,10 @@ Serves as the exact baseline the adaptive filter collapses to when its
 variance beliefs are degenerate, and as the known-variance oracle in the
 synthetic experiments. The posterior update is written as a rank-one
 correction of the propagated prior covariance, shared verbatim with the
-adaptive filter's state update so the two paths agree bit for bit.
+adaptive filter's state update so the two paths agree bit for bit. The
+forecast variance is that update's innovation variance ``x·(P x) + sigma2``,
+the denominator of its gain, formed once per step and returned with the
+posterior.
 
 A transition that is a multiple ``c·I`` of the identity (``I`` for the
 random walks, ``0.9·I`` for the mixture experiments) is applied by scaling:
@@ -39,11 +42,14 @@ class GaussianState:
     cov: np.ndarray
 
     def validate(self, sym_rtol: float = 1e-12, eig_rtol: float = 1e-10) -> None:
-        scale = max(float(np.abs(self.cov).max()), 1e-300)
-        if float(np.abs(self.cov - self.cov.T).max()) > sym_rtol * scale:
+        """Each covariance, of one state or a stack, is symmetric and PSD
+        within tolerances relative to its own scale."""
+        cov = self.cov
+        scale = np.maximum(np.abs(cov).max(axis=(-2, -1)), 1e-300)
+        if np.any(np.abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1)) > sym_rtol * scale):
             raise ValueError("covariance is not symmetric within tolerance")
-        trace = float(np.trace(self.cov))
-        if float(np.linalg.eigvalsh(sym(self.cov)).min()) < -eig_rtol * max(trace, 1e-300):
+        trace = np.trace(cov, axis1=-2, axis2=-1)
+        if np.any(np.linalg.eigvalsh(sym(cov)).min(axis=-1) < -eig_rtol * np.maximum(trace, 1e-300)):
             raise ValueError("covariance has a significantly negative eigenvalue")
 
 
@@ -63,9 +69,10 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff,
-                    x: np.ndarray, y, prediction) -> GaussianState:
+                    x: np.ndarray, y, prediction) -> tuple[GaussianState, np.ndarray]:
     """Posterior from one scalar observation ``y = x.theta + noise(sigma_eff)``,
-    given its prediction ``x·prior_mean`` (``_dot(x, prior_mean)``).
+    given its prediction ``x·prior_mean`` (``_dot(x, prior_mean)``), and the
+    innovation variance ``x·(P x) + sigma_eff`` that divides the gain.
 
     Every argument may carry the same leading (filter) axes; each filter's
     arithmetic is the same as when it is passed alone.
@@ -75,7 +82,7 @@ def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff,
     post_cov = sym(prior_cov - cx[..., :, None] * (cx / denom[..., None])[..., None, :])
     resid = y - prediction
     post_mean = prior_mean + _matvec(post_cov, x) * (resid / sigma_eff)[..., None]
-    return GaussianState(post_mean, post_cov)
+    return GaussianState(post_mean, post_cov), denom
 
 
 def _check_psd(Q: np.ndarray) -> None:
@@ -90,8 +97,10 @@ def _check_psd(Q: np.ndarray) -> None:
 
 
 def _check_sigma2(sigma2) -> None:
-    if not np.all(np.asarray(sigma2) > 0.0):  # NaN fails too
-        raise ValueError(f"observation variance must be > 0, got {np.min(sigma2)}")
+    sigma2 = np.asarray(sigma2)
+    ok = (sigma2 > 0.0) & (sigma2 < np.inf)  # NaN fails both
+    if not ok.all():
+        raise ValueError(f"observation variance must be finite and > 0, got {sigma2[~ok].flat[0]}")
 
 
 def _check_inputs(x: np.ndarray, y) -> None:
@@ -131,14 +140,16 @@ def _predict_update(state: GaussianState, K: np.ndarray | float, Q: np.ndarray, 
     axes, and ``K`` is as :func:`_propagate` takes it."""
     prior_mean, prior_cov = _propagate(state, K, Q)
     prediction = _dot(x, prior_mean)
-    pred_var = quad_form(x, prior_cov) + sigma2
-    return rank_one_update(prior_mean, prior_cov, sigma2, x, y, prediction), prediction, pred_var
+    post, pred_var = rank_one_update(prior_mean, prior_cov, sigma2, x, y, prediction)
+    return post, prediction, pred_var
 
 
 def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: float,
                 x: np.ndarray, y: float) -> tuple[GaussianState, float, float]:
     """One predict/update cycle; returns (posterior, prediction, pred_var).
-    A non-finite ``x`` or ``y`` raises ``ValueError``."""
+    ``pred_var`` is the update's innovation variance ``x·(P x) + sigma2``,
+    ``P`` the propagated prior covariance. A non-finite ``x`` or ``y`` raises
+    ``ValueError``."""
     _check_sigma2(sigma2)
     _check_psd(Q)
     _check_inputs(x, y)

@@ -16,7 +16,11 @@ The terms that depend only on the expansion point come from
 one point forms them once.
 At the kink ``b = 0`` the derivative helpers use the right limits
 (``phi_d1(0) = 1``, ``phi_d2(0) = -1``), which keeps the update formulas
-continuous as a clamped latent approaches zero from above.
+continuous as a clamped latent approaches zero from above. All three map a
+NaN to NaN (``np.maximum`` propagates it), so a NaN latent shows in every
+output it reaches; the parameters that could produce one (``rho_b``, ``q0``,
+``sigma0``) are rejected where the filter's settings and initial state are
+built, not per step.
 """
 
 from __future__ import annotations
@@ -66,16 +70,21 @@ class NoiseTransform:
         return cls(TransformKind.DIAGONAL, dim)
 
 
-def _on_active_branch(b, fn):
-    """``fn(b)`` on nonnegatives, zero on negatives; elementwise, a float for a float."""
-    b = np.asarray(b, dtype=float)
-    out = np.where(b >= 0.0, fn(np.maximum(b, 0.0)), 0.0)
+def _as_float(out: np.ndarray):
     return out if out.ndim else float(out)
 
 
+def _on_active_branch(b, fn):
+    """``fn(b)`` on nonnegatives, zero on negatives, NaN on NaN; elementwise,
+    a float for a float."""
+    b = np.asarray(b, dtype=float)
+    return _as_float(np.where(b < 0.0, 0.0, fn(np.maximum(b, 0.0))))
+
+
 def phi(b):
-    """Zero on negatives, ``log(1+b)`` on nonnegatives."""
-    return _on_active_branch(b, np.log1p)
+    """Zero on negatives, ``log(1+b)`` on nonnegatives, NaN on NaN. Since
+    ``log1p(0) = 0``, clamping at zero is the whole branch."""
+    return _as_float(np.log1p(np.maximum(np.asarray(b, dtype=float), 0.0)))
 
 
 def phi_d1(b):

@@ -69,6 +69,12 @@ M_A_FLOOR = 1e-8
 B_HAT_FLOOR = 1e-8
 
 
+def _check_nonnegative(name: str, value) -> None:
+    """``value`` is finite and >= 0; else ``ValueError`` naming it."""
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} = {value} must be finite and >= 0")
+
+
 @dataclass
 class VikingHyper:
     """Time-invariant filter parameters."""
@@ -89,8 +95,8 @@ class VikingHyper:
             raise ValueError(f"transition matrix has shape {self.K.shape}, expected ({d}, {d})")
         if self.n_mc < 1 or self.n_iter < 1:
             raise ValueError("n_mc and n_iter must be >= 1")
-        if self.rho_a < 0.0 or self.rho_b < 0.0:
-            raise ValueError("random-walk variances must be >= 0")
+        for name in ("rho_a", "rho_b"):
+            _check_nonnegative(name, getattr(self, name))
 
 
 @dataclass
@@ -237,7 +243,7 @@ def update_state_moments(A_inv: np.ndarray, a_hat, s, prior_mean: np.ndarray,
     ``A_inv`` plays the role of the propagated prior covariance; the
     effective observation variance is ``exp(a_hat - s/2)``.
     """
-    return rank_one_update(prior_mean, A_inv, _exp(a_hat - 0.5 * s), x, y, _dot(x, prior_mean))
+    return rank_one_update(prior_mean, A_inv, _exp(a_hat - 0.5 * s), x, y, _dot(x, prior_mean))[0]
 
 
 def update_s(r2, a_hat, s_prior):

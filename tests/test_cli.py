@@ -257,3 +257,27 @@ def test_experiment_bad_walk_var_exits_1(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert "error: walk_var" in captured.err and "mse=" not in captured.out
     assert not list(tmp_path.rglob("summary.csv"))
+
+
+@pytest.mark.parametrize("method, line", [
+    ("viking", "rho_a = nan"), ("viking", "rho_b = inf"), ("viking", "rho_b = -1"),
+    ("kalman-constant", "q_grid = 0.1,nan"), ("kalman-constant", "sigma2_const = inf"),
+    ("kalman-oracle", "sigma2_const = nan"), ("kalman-constant", "p0 = nan"), ("kalman-oracle", "p0 = -1"),
+])
+def test_experiment_bad_parameter_exits_1_naming_its_key(tmp_path, capsys, method, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    code = run_cli("experiment", "--experiment", "ms-iid", "--method", method, "--seeds", "1",
+                   "--n", "30", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    key = line.split(" =")[0]
+    assert captured.err.startswith("error: ") and f"{key} " in captured.err and "mse=" not in captured.out
+    assert not list(tmp_path.rglob("summary.csv"))
+
+
+def test_grid_bad_rho_flag_exits_1(tmp_path, capsys):
+    code = run_cli("grid", "--experiment", "ms-iid", "--seeds", "1", "--n", "30", "--rho-a", "nan",
+                   "--out", str(tmp_path))
+    assert code == 1
+    assert "error: rho_a = nan" in capsys.readouterr().err

@@ -206,3 +206,35 @@ def test_resonator_defaults_come_from_its_table():
         assert not rec.sigma_diag.any()
     learned = run_cell(replace(cfg, learn_b=True), point, ds, 1)
     assert all(rec.sigma_diag.all() for rec in learned)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"rho_a": math.nan}, "rho_a = nan must be finite and >= 0", id="rho_a-nan"),
+    pytest.param({"rho_b": math.inf}, "rho_b = inf must be finite and >= 0", id="rho_b-inf"),
+    pytest.param({"rho_a": -1.0}, "rho_a = -1.0 must be finite and >= 0", id="rho_a--1.0"),
+    pytest.param({"rho_b": (0.1, math.nan)}, "rho_b = nan must be finite and >= 0", id="rho_b-nan"),
+    pytest.param({"rho_a": ()}, "grids must be non-empty", id="empty-rho-grid"),
+    pytest.param({"q_grid": (math.nan,)}, "q_grid = nan must be finite and >= 0", id="q_grid-nan"),
+    pytest.param({"q_grid": (0.1, math.inf)}, "q_grid = inf must be finite and >= 0", id="q_grid-inf"),
+    pytest.param({"q_grid": (-0.1,)}, "q_grid = -0.1 must be finite and >= 0", id="q_grid--0.1"),
+    pytest.param({"sigma2_const": math.inf}, "sigma2_const = inf must be finite and > 0", id="sigma2_const-inf"),
+    pytest.param({"sigma2_const": math.nan}, "sigma2_const = nan must be finite and > 0", id="sigma2_const-nan"),
+    pytest.param({"sigma2_const": 0.0}, "sigma2_const = 0.0 must be finite and > 0", id="sigma2_const-0.0"),
+])
+def test_config_rejects_parameters_that_are_not_finite_or_out_of_range(method, fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(ExperimentKind.MS_NONIID, method, n=30, seeds=(1,), **fields)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("p0", [math.nan, math.inf, -1.0])
+def test_config_rejects_an_initial_covariance_scale_that_is_not_finite_and_nonnegative(method, p0):
+    with pytest.raises(ValueError, match=f"^initial p0 = {p0} must be finite and >= 0$"):
+        ExperimentConfig(ExperimentKind.MS_NONIID, method, n=30, seeds=(1,), init=vk.InitOverrides(p0=p0))
+
+
+def test_config_takes_the_edges_of_each_range():
+    cfg = ExperimentConfig(ExperimentKind.MS_NONIID, Method.VIKING, n=30, seeds=(1,),
+                           rho_a=0.0, rho_b=(0.0, 1.0), q_grid=(0.0,), sigma2_const=1e-300)
+    assert len(grid_points(cfg)) == 2

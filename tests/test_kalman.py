@@ -272,3 +272,115 @@ def test_experiment_names_the_seed_of_a_non_finite_observation(monkeypatch):
         cfg = ExperimentConfig(ExperimentKind.MS_NONIID, method, n=30, seeds=(3, 5, 8))
         with pytest.raises(ValueError, match=r"^seed 5, step 4, series 1: non-finite"):
             run_experiment(cfg)
+
+
+# ------------------------- the forecast variance is the update's innovation variance
+
+def _transitions():
+    from viking.datagen import resonator_transition
+
+    return {"identity": np.eye(5), "contraction": 0.9 * np.eye(5), "resonator": resonator_transition()}
+
+
+def _innovation_var(prior_cov, x, sigma2):
+    from viking.kalman import _dot, _matvec
+
+    return _dot(x, _matvec(prior_cov, x)) + sigma2
+
+
+def _assert_innovation_var(got, prior_cov, x, sigma2):
+    from viking.kalman import quad_form
+
+    assert _bits(got) == _bits(_innovation_var(prior_cov, x, sigma2))
+    quad = quad_form(x, prior_cov) + sigma2
+    assert np.all(np.abs(got - quad) <= 1e-14 * np.abs(quad))
+
+
+@pytest.mark.parametrize("name", ["identity", "contraction", "resonator"])
+def test_step_forecast_variance_is_the_innovation_variance(name):
+    from viking.kalman import _propagate, transition_scale
+
+    K = _transitions()[name]
+    d = len(K)
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        state = GaussianState(rng.standard_normal(d), rand_spd(rng, d))
+        Q, x, sigma2 = rand_spd(rng, d, ridge=0.1), rng.standard_normal(d), rng.uniform(0.2, 2.0)
+        _, prior_cov = _propagate(state, transition_scale(K), Q)
+        _, _, pred_var = kalman_step(state, K, Q, sigma2, x, rng.normal())
+        _assert_innovation_var(pred_var, prior_cov, x, sigma2)
+
+
+@pytest.mark.parametrize("per_step_sigma2", [False, True], ids=["constant", "oracle"])
+@pytest.mark.parametrize("name", ["identity", "contraction", "resonator"])
+def test_grid_forecast_variance_is_the_innovation_variance_and_the_steps(name, per_step_sigma2):
+    from viking.kalman import _propagate, transition_scale
+
+    K = _transitions()[name]
+    d = len(K)
+    x, y, _, Qs, _ = _grid_inputs(n=25, B=3, d=d, G=4)
+    init = GaussianState(np.zeros(d), np.eye(d))
+    rng = np.random.default_rng(22)
+    sigma2 = rng.uniform(0.3, 2.0, size=y.shape) if per_step_sigma2 else 1.3
+    forecast, forecast_var, theta, cov = kalman_run_grid(x, y, K, Qs, sigma2, init, keep_state=True)
+    sigma2 = np.broadcast_to(sigma2, y.shape)
+    for t in range(len(x)):
+        prev = (GaussianState(np.broadcast_to(init.mean, theta.shape[1:]), np.broadcast_to(init.cov, cov.shape[1:]))
+                if t == 0 else GaussianState(theta[t - 1], cov[t - 1]))
+        _, prior_cov = _propagate(prev, transition_scale(K), Qs)
+        _assert_innovation_var(forecast_var[t], prior_cov, x[t], sigma2[t])
+    for g, b in ((0, 0), (len(Qs) - 1, 2)):
+        state = init
+        for t in range(len(x)):
+            state, prediction, pred_var = kalman_step(state, K, Qs[g, 0], sigma2[t, b], x[t, b], y[t, b])
+            assert _bits(prediction) == _bits(forecast[t, g, b])
+            assert _bits(pred_var) == _bits(forecast_var[t, g, b])
+
+
+def test_rank_one_update_returns_the_innovation_variance():
+    from viking.kalman import rank_one_update
+
+    rng = np.random.default_rng(23)
+    d = 4
+    mean, P, x = rng.standard_normal(d), rand_spd(rng, d), rng.standard_normal(d)
+    post, denom = rank_one_update(mean, P, 0.7, x, 1.1, x @ mean)
+    assert _bits(denom) == _bits(_innovation_var(P, x, 0.7))
+    post.validate()
+
+
+# --------------------------------------------------- validation of stacks and sigma2
+
+def test_validate_takes_a_stack_of_covariances():
+    rng = np.random.default_rng(24)
+    for shape in ((5,), (3,), (2, 3)):
+        cov = np.stack([rand_spd(rng, 5) for _ in range(int(np.prod(shape)))]).reshape(shape + (5, 5))
+        GaussianState(np.zeros(shape + (5,)), cov).validate()
+        asym = cov.copy()
+        asym[(0,) * len(shape) + (0, 1)] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianState(np.zeros(shape + (5,)), asym).validate()
+        neg = cov.copy()
+        neg[(-1,) * len(shape) + (2, 2)] = -5.0
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            GaussianState(np.zeros(shape + (5,)), neg).validate()
+
+
+def test_validate_scales_each_matrix_of_a_stack_by_its_own_size():
+    # an asymmetry far below the large matrix's scale but far above the small one's
+    cov = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-9], [0.0, 1.0]])])
+    with pytest.raises(ValueError, match="not symmetric"):
+        GaussianState(np.zeros((2, 2)), cov).validate()
+
+
+@pytest.mark.parametrize("sigma2", [np.inf, np.nan, 0.0, -1.0])
+def test_step_and_grid_reject_an_observation_variance_that_is_not_finite_and_positive(sigma2, monkeypatch):
+    state = GaussianState(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="observation variance must be finite and > 0"):
+        kalman_step(state, np.eye(2), 0.1 * np.eye(2), sigma2, np.ones(2), 0.5)
+    x, y, K, Qs, init = _grid_inputs()
+    monkeypatch.setattr(viking.kalman, "_predict_update", _no_steps)
+    per_step = np.ones(y.shape)
+    per_step[3, 1] = sigma2
+    for bad in (sigma2, per_step):
+        with pytest.raises(ValueError, match="observation variance must be finite and > 0"):
+            kalman_run_grid(x, y, K, Qs, bad, init, keep_state=False)

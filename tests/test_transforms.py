@@ -231,3 +231,22 @@ def test_scalar_kind_matches_its_trace_forms(d):
         assert grad[0] == pytest.approx(np.trace(M - MBM) * d1, rel=1e-10, abs=1e-12)
         want = -np.trace(MBM) * d2 + 2.0 * np.trace(M @ MBM) * d1 * d1
         assert H[0, 0] == pytest.approx(want, rel=1e-10)
+
+
+def test_phi_family_maps_nan_to_nan():
+    b = np.array([np.nan, -1.0, 0.5])
+    for fn in (phi, phi_d1, phi_d2):
+        assert math.isnan(fn(math.nan))
+        out = fn(b)
+        assert math.isnan(out[0]) and not np.isnan(out[1:]).any()
+
+
+def test_phi_family_keeps_its_bits_on_finite_input():
+    # the NaN-propagating forms against the branch form they replace, signed zeros included
+    rng = np.random.default_rng(31)
+    b = np.concatenate([rng.standard_normal(200) * 10.0, [0.0, -0.0, 1e-300, -1e-300, 1e150, -1e300]])
+    for fn, branch in ((phi, np.log1p), (phi_d1, lambda u: 1.0 / (1.0 + u)),
+                       (phi_d2, lambda u: -1.0 / (1.0 + u) ** 2)):
+        want = np.where(b >= 0.0, branch(np.maximum(b, 0.0)), 0.0)
+        assert fn(b).tobytes() == want.tobytes()
+        assert all(np.float64(fn(float(v))).tobytes() == w.tobytes() for v, w in zip(b, want))

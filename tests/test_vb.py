@@ -598,3 +598,10 @@ def test_update_b_clamp_clips_coordinates_of_the_unconstrained_minimizer():
     assert box[1] > 0.0
     assert bound(box) < bound(b_prev) < bound(b_new)
     assert bound(b_new) - bound(b_prev) == pytest.approx(0.11898, abs=1e-5)
+
+
+@pytest.mark.parametrize("key", ["rho_a", "rho_b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-3])
+def test_hyper_rejects_a_random_walk_variance_that_is_not_finite_and_nonnegative(key, value):
+    with pytest.raises(ValueError, match=f"^{key} = {value} must be finite and >= 0"):
+        VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), **{key: value})
