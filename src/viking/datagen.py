@@ -126,19 +126,27 @@ def _ws_schedules(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma2, q_level[:, None] * WS_Q_MASK[None, :]
 
 
+def _variances(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a float array of ``shape``, every entry finite and >= 0;
+    else ``ValueError`` naming the argument."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+    ok = (values >= 0.0) & (values < np.inf)  # NaN fails both
+    if not ok.all():
+        raise ValueError(f"{name} must be finite and >= 0, got {values[~ok].flat[0]}")
+    return values
+
+
 def _resolve_schedules(n: int, d: int, sigma2_override, q_diag_override) -> tuple[np.ndarray, np.ndarray]:
     if sigma2_override is None or q_diag_override is None:
         if d != 5:
             raise ValueError("default variance schedules need a 5-dimensional design")
         sigma2, q_diag = _ws_schedules(n)
     if sigma2_override is not None:
-        sigma2 = np.asarray(sigma2_override, dtype=float)
-        if sigma2.shape != (n,):
-            raise ValueError(f"sigma2 override has shape {sigma2.shape}, expected ({n},)")
+        sigma2 = _variances("sigma2_override", sigma2_override, (n,))
     if q_diag_override is not None:
-        q_diag = np.asarray(q_diag_override, dtype=float)
-        if q_diag.shape != (n, d):
-            raise ValueError(f"q_diag override has shape {q_diag.shape}, expected ({n}, {d})")
+        q_diag = _variances("q_diag_override", q_diag_override, (n, d))
     return sigma2, q_diag
 
 
@@ -147,7 +155,8 @@ def gen_wellspecified(design: np.ndarray, seed: int, sigma2_override=None, q_dia
 
     ``sigma2 = 1 + 0.1 cos(4 pi t / n)`` and state-noise diagonal
     ``(0.25 + 0.2 cos(4 pi t / n)) * (0,0,1,1,1)``; the state starts from
-    N(0, I) and the transition matrix is the identity.
+    N(0, I) and the transition matrix is the identity. An override entry
+    that is not finite and >= 0 raises ``ValueError`` naming the override.
     """
     n, d = design.shape
     sigma2, q_diag = _resolve_schedules(n, d, sigma2_override, q_diag_override)
@@ -207,15 +216,15 @@ def gen_resonator(n: int, sigma_traj: np.ndarray, seed: int, theta0=None,
     3-dimensional state with a rotation-style transition, known constant
     state noise ``diag(0.01, 0, 0.0001)``, and per-step observation variance
     ``sigma_traj``. The observation regressor is the constant ``(1, 1, 0)``.
+    A ``sigma_traj`` entry that is not finite and > 0, or a ``q_diag`` entry
+    that is not finite and >= 0, raises ``ValueError`` naming the argument.
     """
-    sigma_traj = np.asarray(sigma_traj, dtype=float)
-    if sigma_traj.shape != (n,):
-        raise ValueError(f"sigma trajectory has shape {sigma_traj.shape}, expected ({n},)")
-    if np.any(sigma_traj <= 0.0):
-        raise ValueError("sigma trajectory must be positive")
+    sigma_traj = _variances("sigma_traj", sigma_traj, (n,))
+    if np.any(sigma_traj == 0.0):
+        raise ValueError("sigma_traj must be positive")
     K = resonator_transition()
     d = 3
-    q = np.asarray(q_diag, dtype=float)
+    q = _variances("q_diag", q_diag, (d,))
     x = np.tile(np.array([1.0, 1.0, 0.0]), (n, 1))
     if theta0 is not None:
         prev = np.asarray(theta0, dtype=float).copy()

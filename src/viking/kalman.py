@@ -118,6 +118,20 @@ def _check_inputs(x: np.ndarray, y) -> None:
     raise err
 
 
+def _check_init(init: GaussianState, d: int) -> None:
+    """The initial state is one finite ``(d,)`` mean with a finite, symmetric,
+    PSD ``(d, d)`` covariance; else ``ValueError`` naming ``init``."""
+    mean, cov = np.asarray(init.mean), np.asarray(init.cov)
+    if mean.shape != (d,) or cov.shape != (d, d):
+        raise ValueError(f"init: mean {mean.shape} and covariance {cov.shape}, expected ({d},) and ({d}, {d})")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError("init: mean and covariance must be finite")
+    try:
+        GaussianState(mean, cov).validate()
+    except ValueError as exc:
+        raise ValueError(f"init: {exc}") from None
+
+
 def transition_scale(K: np.ndarray) -> np.ndarray | float:
     """``c`` as a float when ``K`` is ``c·I`` for a finite ``c``, else ``K``:
     the transition as :func:`_predict_update` applies it."""
@@ -166,10 +180,11 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     grid axis and are never copied per point. ``Q`` is ``(G, 1, d, d)``, one
     matrix per grid point for every step and series, or ``(n, 1, B, d, d)``,
     one per step and series at a single grid point; ``sigma2`` is ``(n, B)``
-    or broadcasts to it. Every Q, sigma2, covariate and observation is
-    validated once, before the first step; a non-finite input raises
-    ``ValueError`` naming its first step and series (also as the exception's
-    ``filter``). Returns the ``(n, G, B)`` forecast and forecast-variance
+    or broadcasts to it. ``init`` is the one initial state of every filter.
+    It, every Q, sigma2, covariate and observation are validated once, before
+    the first step; a non-finite input raises ``ValueError`` naming its first
+    step and series (also as the exception's ``filter``), a bad ``init``
+    naming ``init``. Returns the ``(n, G, B)`` forecast and forecast-variance
     blocks, then ``theta`` ``(n, G, B, d)`` and ``cov`` ``(n, G, B, d, d)``
     with ``keep_state`` (else ``None``). Each filter's outputs are the ones
     it gets alone.
@@ -184,6 +199,7 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     sigma2 = np.broadcast_to(sigma2, (n, B))  # a ValueError unless it broadcasts
     _check_sigma2(sigma2)
     _check_inputs(x, y)
+    _check_init(init, d)
     K = transition_scale(K)
     state = GaussianState(np.broadcast_to(init.mean, (G, B, d)), np.broadcast_to(init.cov, (G, B, d, d)))
     forecast, forecast_var = np.empty((n, G, B)), np.empty((n, G, B))

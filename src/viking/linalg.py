@@ -17,14 +17,45 @@ pins it at d = 33 and 64, ``test_stack_matches_alone_symmetric_and_counted``
 up to d = 20, each for one matrix and a stack). A matrix that fails to factor
 gets a single jitter retry (``1e-10 * trace/dim`` added to the diagonal) and
 then raises :class:`SingularMatrixError`.
+
+The two LAPACK routines are scipy's ``dpotrf`` and ``dtrtri``, bound the
+first time something is factored, not when the module is imported.
+Binding them loads ``scipy.linalg``, which most runs never need: the Kalman
+baselines, the data generators, the CSV codec and the command line's
+argument handling factor no matrix, so they start in numpy's time. On a
+2-core x86-64 box (Python 3.11, numpy 2.4, scipy 1.17, cached byte code),
+a fresh ``import viking`` took 0.54 s with scipy loaded at import and takes
+0.20 s without it (numpy alone: 0.16-0.18 s), and its peak RSS fell from
+57 to 29 MiB. A VIKING run pays the same import at its first step instead.
+numpy's own ``linalg`` is no substitute on the filter's path: it is slower
+per small matrix and bundles another OpenBLAS, whose ``potrf`` gives other
+bits on some matrices. Both names stay module attributes (a module
+``__getattr__`` binds them on first access), so ``viking.linalg.dpotrf``
+can be read or replaced before any factorization; the kernels read them
+through the module, once per call, not once per matrix.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 JITTER_SCALE = 1e-10
+_LAPACK = ("dpotrf", "dtrtri")
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Bind the LAPACK routines on first access; a name already set, say by
+    a test's monkeypatch, is kept."""
+    if name not in _LAPACK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import lapack
+
+    for routine in _LAPACK:
+        globals().setdefault(routine, getattr(lapack, routine))
+    return globals()[name]
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -61,7 +92,7 @@ def _jittered_factor(m: np.ndarray):
     jitter = JITTER_SCALE * float(np.trace(m)) / m.shape[0]
     if not np.isfinite(jitter) or jitter <= 0.0:
         raise SingularMatrixError("matrix is not positive definite and has no usable jitter scale")
-    factor, info = dpotrf(m + jitter * np.eye(m.shape[0]), lower=1)
+    factor, info = _module.dpotrf(m + jitter * np.eye(m.shape[0]), lower=1)
     if info != 0:
         raise SingularMatrixError("matrix is not positive definite (jitter retry failed)")
     return factor
@@ -69,7 +100,7 @@ def _jittered_factor(m: np.ndarray):
 
 def spd_factor(m: np.ndarray):
     """Lower Cholesky factor of ``m``, with the one-shot jitter retry."""
-    factor, info = dpotrf(m, lower=1)
+    factor, info = _module.dpotrf(m, lower=1)
     return factor if info == 0 else _jittered_factor(m)
 
 
@@ -82,6 +113,7 @@ def spd_inv(m: np.ndarray) -> np.ndarray:
     gets alone; a failure carries the stack index of its matrix as ``index``.
     """
     global _inversions
+    potrf, trtri = _module.dpotrf, _module.dtrtri
     d = m.shape[-1]
     stack = m.reshape(-1, d, d)
     out = stack.astype(float, order="C")
@@ -89,13 +121,13 @@ def spd_inv(m: np.ndarray) -> np.ndarray:
     # copies nothing); positional flags keep the loop tight
     cols = out.swapaxes(-1, -2)
     for i in range(len(out)):
-        if dpotrf(cols[i], 1, 1, 1)[1]:  # lower, clean, overwrite_a
+        if potrf(cols[i], 1, 1, 1)[1]:  # lower, clean, overwrite_a
             try:
                 cols[i] = _jittered_factor(stack[i].T)
             except SingularMatrixError as exc:
                 exc.index = np.unravel_index(i, m.shape[:-2]) if m.ndim > 2 else None
                 raise
-        dtrtri(cols[i], 1, 0, 1)  # lower, unitdiag, overwrite_c: cannot fail after potrf
+        trtri(cols[i], 1, 0, 1)  # lower, unitdiag, overwrite_c: cannot fail after potrf
     _inversions += len(out)
     # read in C order, out holds each L^-T; cols holds each L^-1. cols must
     # stay a view of out: numpy then runs syrk on A @ A^T and mirrors the

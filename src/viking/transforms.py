@@ -33,8 +33,6 @@ import numpy as np
 
 from .linalg import spd_factor, spd_inv, sym
 
-import scipy.linalg
-
 
 class TransformKind(Enum):
     SCALAR = "scalar"
@@ -128,11 +126,19 @@ def apply_f(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
 
 
 def psi_value(transform: NoiseTransform, b: np.ndarray, B: np.ndarray, KPK: np.ndarray) -> float:
-    """``logdet(KPK + f(b)) + tr(B (KPK + f(b))^-1)``."""
+    """``logdet(KPK + f(b)) + tr(B (KPK + f(b))^-1)``, from one Cholesky factor.
+
+    The filter never evaluates it (its ``b`` update needs only the gradient
+    and the Hessian bound), so scipy's ``cho_solve`` is imported on call,
+    like the LAPACK routines of :mod:`viking.linalg`, and importing the
+    package loads no scipy module.
+    """
+    from scipy.linalg import cho_solve
+
     C = KPK + apply_f(transform, b)
     factor = spd_factor(C)
     logdet = 2.0 * np.sum(np.log(np.diagonal(factor)))
-    trace = np.trace(scipy.linalg.cho_solve((factor, True), B, check_finite=False))
+    trace = np.trace(cho_solve((factor, True), B, check_finite=False))
     return float(logdet + trace)
 
 

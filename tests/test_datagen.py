@@ -213,3 +213,47 @@ def test_design_rejects_a_bad_walk_var(walk_var):
     for kind in (DesignKind.IID, DesignKind.NONIID):
         with pytest.raises(ValueError, match="walk_var"):
             gen_design(kind, 10, 1, walk_var=walk_var)
+
+
+_BAD_VARIANCES = [float("nan"), float("inf"), -float("inf"), -1.0]
+
+
+@pytest.mark.parametrize("bad", _BAD_VARIANCES)
+def test_wellspecified_rejects_a_bad_variance_override(bad):
+    x = gen_design(DesignKind.IID, 6, 1)
+    sigma2 = np.ones(6)
+    sigma2[2] = bad
+    q_diag = np.full((6, 5), 0.1)
+    q_diag[4, 1] = bad
+    with pytest.raises(ValueError, match="sigma2_override"):
+        gen_wellspecified(x, 1, sigma2_override=sigma2)
+    with pytest.raises(ValueError, match="q_diag_override"):
+        gen_wellspecified(x, 1, q_diag_override=q_diag)
+
+
+@pytest.mark.parametrize("bad", _BAD_VARIANCES)
+def test_misspecified_rejects_a_bad_variance_override(bad):
+    x = gen_design(DesignKind.NONIID, 6, 1)
+    sigma2 = np.ones(6)
+    sigma2[0] = bad
+    q_diag = np.full((6, 5), 0.1)
+    q_diag[5, 4] = bad
+    with pytest.raises(ValueError, match="sigma2_override"):
+        gen_misspecified(x, 1, sigma2_override=sigma2)
+    with pytest.raises(ValueError, match="q_diag_override"):
+        gen_misspecified(x, 1, q_diag_override=q_diag)
+
+
+@pytest.mark.parametrize("bad", _BAD_VARIANCES + [0.0])
+def test_resonator_rejects_a_bad_variance_schedule(bad):
+    with pytest.raises(ValueError, match="sigma_traj"):
+        gen_resonator(5, [1.0, bad, 1.0, 1.0, 1.0], 1)
+    if bad != 0.0:  # a zero state-noise variance is the default's middle coordinate
+        with pytest.raises(ValueError, match="q_diag"):
+            gen_resonator(5, np.ones(5), 1, q_diag=(0.01, bad, 0.0001))
+
+
+def test_zero_variance_overrides_still_generate():
+    x = gen_design(DesignKind.IID, 6, 1)
+    ds = gen_wellspecified(x, 1, sigma2_override=np.zeros(6), q_diag_override=np.zeros((6, 5)))
+    assert np.isfinite(ds.y).all()

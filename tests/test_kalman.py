@@ -384,3 +384,43 @@ def test_step_and_grid_reject_an_observation_variance_that_is_not_finite_and_pos
     for bad in (sigma2, per_step):
         with pytest.raises(ValueError, match="observation variance must be finite and > 0"):
             kalman_run_grid(x, y, K, Qs, bad, init, keep_state=False)
+
+
+def _bad_inits(d):
+    eye = np.eye(d)
+    upper = np.triu(np.ones((d, d)))
+    return {
+        "nan mean": GaussianState(np.full(d, np.nan), eye),
+        "inf covariance": GaussianState(np.zeros(d), np.where(eye > 0, np.inf, 0.0)),
+        "negative covariance": GaussianState(np.zeros(d), -eye),
+        "asymmetric covariance": GaussianState(np.zeros(d), upper),
+        "short mean": GaussianState(np.zeros(d - 1), eye),
+        "small covariance": GaussianState(np.zeros(d), np.eye(d - 1)),
+        "batched mean": GaussianState(np.zeros((3, d)), eye),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inits(4)))
+def test_grid_rejects_a_bad_init_before_the_first_step(case, monkeypatch):
+    x, y, K, Qs, _ = _grid_inputs()
+    monkeypatch.setattr(viking.kalman, "_predict_update", _no_steps)
+    with pytest.raises(ValueError, match="^init: "):
+        kalman_run_grid(x, y, K, Qs, 1.0, _bad_inits(4)[case], keep_state=False)
+
+
+def test_run_rejects_the_bad_inits_that_gave_nan_and_negative_forecasts():
+    ds = gen_wellspecified(gen_design(DesignKind.IID, 30, 1), 1)
+    eye = np.eye(5)
+    for init in (GaussianState(np.full(5, np.nan), eye), GaussianState(np.zeros(5), -eye)):
+        with pytest.raises(ValueError, match="^init: "):
+            kalman_run(ds, eye, 0.1 * eye, 1.0, init)
+
+
+def test_a_psd_init_with_signed_zeros_and_a_singular_covariance_runs():
+    x, y, K, Qs, _ = _grid_inputs()
+    d = x.shape[-1]
+    singular = np.zeros((d, d))
+    singular[0, 0] = 1.0
+    for init in (GaussianState(-np.zeros(d), -np.zeros((d, d))), GaussianState(np.zeros(d), singular)):
+        forecast, forecast_var, _, _ = kalman_run_grid(x, y, K, Qs, 1.0, init, keep_state=False)
+        assert np.isfinite(forecast).all() and (forecast_var > 0.0).all()
