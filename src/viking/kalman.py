@@ -118,18 +118,18 @@ def _check_inputs(x: np.ndarray, y) -> None:
     raise err
 
 
-def _check_init(init: GaussianState, d: int) -> None:
+def _check_init(init: GaussianState, d: int, where: str = "init") -> None:
     """The initial state is one finite ``(d,)`` mean with a finite, symmetric,
-    PSD ``(d, d)`` covariance; else ``ValueError`` naming ``init``."""
+    PSD ``(d, d)`` covariance; else ``ValueError`` starting with ``where``."""
     mean, cov = np.asarray(init.mean), np.asarray(init.cov)
     if mean.shape != (d,) or cov.shape != (d, d):
-        raise ValueError(f"init: mean {mean.shape} and covariance {cov.shape}, expected ({d},) and ({d}, {d})")
+        raise ValueError(f"{where}: mean {mean.shape} and covariance {cov.shape}, expected ({d},) and ({d}, {d})")
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise ValueError("init: mean and covariance must be finite")
+        raise ValueError(f"{where}: mean and covariance must be finite")
     try:
         GaussianState(mean, cov).validate()
     except ValueError as exc:
-        raise ValueError(f"init: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def transition_scale(K: np.ndarray) -> np.ndarray | float:

@@ -18,18 +18,38 @@ up to d = 20, each for one matrix and a stack). A matrix that fails to factor
 gets a single jitter retry (``1e-10 * trace/dim`` added to the diagonal) and
 then raises :class:`SingularMatrixError`.
 
-The two LAPACK routines are scipy's ``dpotrf`` and ``dtrtri``, bound the
-first time something is factored, not when the module is imported.
-Binding them loads ``scipy.linalg``, which most runs never need: the Kalman
-baselines, the data generators, the CSV codec and the command line's
-argument handling factor no matrix, so they start in numpy's time. On a
-2-core x86-64 box (Python 3.11, numpy 2.4, scipy 1.17, cached byte code),
-a fresh ``import viking`` took 0.54 s with scipy loaded at import and takes
-0.20 s without it (numpy alone: 0.16-0.18 s), and its peak RSS fell from
-57 to 29 MiB. A VIKING run pays the same import at its first step instead.
+The LAPACK routines are scipy's ``dpotrf`` and ``dtrtri`` (and ``dpotrs``
+for :func:`viking.transforms.psi_value`), bound the first time something is
+factored, not when the module is imported. Most runs never need them: the
+Kalman baselines, the data generators, the CSV codec and the command line's
+argument handling factor no matrix, so they start in numpy's time and load
+no scipy module. On a 2-core x86-64 box (Python 3.11, numpy 2.4, scipy 1.17,
+cached byte code), a fresh ``import viking`` took 0.54 s with scipy loaded
+at import and takes 0.20 s without it (numpy alone: 0.16-0.18 s), and its
+peak RSS fell from 57 to 29 MiB.
+
+Binding imports the top-level ``scipy`` package (its own init: version
+checks, ``_distributor_init``) and then loads the f2py extension
+``scipy/linalg/_flapack`` by file, registered in ``sys.modules`` under its
+own name, or reuses it when something has imported it already. It does not
+import the ``scipy.linalg`` package, whose init loads
+``scipy._lib._array_api`` and through it ``numpy.f2py`` and
+``numpy.testing``, none of which the filter uses; the extension itself
+loads in about 5 ms. On the same box, in processes that byte-compile numpy
+and scipy afresh (``PYTHONDONTWRITEBYTECODE=1`` with a fresh
+``sys.pycache_prefix``), a VIKING run's start-up fell from 1.54 to 0.66 s
+(medians of ten alternating pairs; ranges 1.28-2.09 and 0.53-0.78 s) and
+its peak RSS from 68 to 48 MiB; with cached byte code, a two-seed VIKING
+experiment (n 200) went from 0.46 to 0.35 s. A later ``import
+scipy.linalg`` adopts the registered module (scipy reaches it only by
+``from`` imports, which find it in ``sys.modules``), so
+``scipy.linalg.lapack.dpotrf`` is the very routine bound here: the filter
+calls the same compiled routines as through the package, with the same
+bits. A missing extension raises ``ImportError`` naming the directory
+searched.
 numpy's own ``linalg`` is no substitute on the filter's path: it is slower
 per small matrix and bundles another OpenBLAS, whose ``potrf`` gives other
-bits on some matrices. Both names stay module attributes (a module
+bits on some matrices. The names stay module attributes (a module
 ``__getattr__`` binds them on first access), so ``viking.linalg.dpotrf``
 can be read or replaced before any factorization; the kernels read them
 through the module, once per call, not once per matrix.
@@ -37,13 +57,33 @@ through the module, once per call, not once per matrix.
 
 from __future__ import annotations
 
+import os
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
 JITTER_SCALE = 1e-10
-_LAPACK = ("dpotrf", "dtrtri")
+_LAPACK = ("dpotrf", "dtrtri", "dpotrs")
+_FLAPACK = "scipy.linalg._flapack"
 _module = sys.modules[__name__]
+
+
+def _flapack():
+    """scipy's LAPACK extension module, loaded by file without importing the
+    ``scipy.linalg`` package, or the one already in ``sys.modules``."""
+    if _FLAPACK not in sys.modules:
+        import scipy
+
+        path = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(path, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+        if spec is None:
+            raise ImportError(f"no {_FLAPACK} extension in {path}", name=_FLAPACK, path=path)
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return sys.modules[_FLAPACK]
 
 
 def __getattr__(name: str):
@@ -51,10 +91,9 @@ def __getattr__(name: str):
     a test's monkeypatch, is kept."""
     if name not in _LAPACK:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import lapack
-
+    flapack = _flapack()
     for routine in _LAPACK:
-        globals().setdefault(routine, getattr(lapack, routine))
+        globals().setdefault(routine, getattr(flapack, routine))
     return globals()[name]
 
 

@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .linalg import spd_factor, spd_inv, sym
 
 
@@ -128,17 +129,16 @@ def apply_f(transform: NoiseTransform, b: np.ndarray) -> np.ndarray:
 def psi_value(transform: NoiseTransform, b: np.ndarray, B: np.ndarray, KPK: np.ndarray) -> float:
     """``logdet(KPK + f(b)) + tr(B (KPK + f(b))^-1)``, from one Cholesky factor.
 
-    The filter never evaluates it (its ``b`` update needs only the gradient
-    and the Hessian bound), so scipy's ``cho_solve`` is imported on call,
-    like the LAPACK routines of :mod:`viking.linalg`, and importing the
-    package loads no scipy module.
+    The trace term solves with that factor by LAPACK ``dpotrs``, bound by
+    :mod:`viking.linalg` with ``dpotrf``: the routine and arguments scipy's
+    ``cho_solve`` passes, so the same bits, without importing
+    ``scipy.linalg``. The filter never evaluates it (its ``b`` update needs
+    only the gradient and the Hessian bound).
     """
-    from scipy.linalg import cho_solve
-
     C = KPK + apply_f(transform, b)
     factor = spd_factor(C)
     logdet = 2.0 * np.sum(np.log(np.diagonal(factor)))
-    trace = np.trace(cho_solve((factor, True), B, check_finite=False))
+    trace = np.trace(linalg.dpotrs(factor, B, lower=1)[0])
     return float(logdet + trace)
 
 

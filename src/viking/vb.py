@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import P0, GaussianState, _dot, _matvec, quad_form, rank_one_update
+from .kalman import P0, GaussianState, _check_init, _dot, _matvec, quad_form, rank_one_update
 from .linalg import SingularMatrixError, spd_inv, sym
 from .records import StepRecord, Trace, split_traces
 from .rng import STREAM_FILTER, make_rng
@@ -430,13 +430,18 @@ def viking_run_batch(x: np.ndarray, y: np.ndarray, hyper: VikingHyper, inits: li
     columns. One filter steps without the filter axis (see the module
     docstring). With ``learn_b`` on, a filter whose latent is uncertain and
     not positive in every coordinate (``q0 <= 0``), where the ``b`` bound is
-    undefined, raises ``ValueError`` naming it before the first step.
+    undefined, raises ``ValueError`` naming it before the first step, as does
+    a Gaussian state that is not a finite ``(d,)`` mean with a finite,
+    symmetric, PSD ``(d, d)`` covariance (starting ``init``, and naming the
+    filter in a batch).
     """
     n, B, d = x.shape
     if d != hyper.transform.dim:
         raise ValueError(f"dataset dimension {d} does not match filter dimension {hyper.transform.dim}")
     if y.shape != (n, B) or len(inits) != B:
         raise ValueError(f"{len(inits)} initial states and observations of shape {y.shape} for x of shape {x.shape}")
+    for b, init in enumerate(inits):
+        _check_init(init.state, d, "init" if B == 1 else f"init, filter {b}")
     st = inits[0] if B == 1 else stack_states(inits)
     m = hyper.transform.latent_dim
     bad = [b for b, init in enumerate(inits)

@@ -2,9 +2,10 @@
 
 scipy's LAPACK routines are bound at the first factorization
 (``viking.linalg``), so importing the package, the command line's argument
-handling, ``simulate`` and the Kalman methods start in numpy's time. Each
-check runs in a fresh child interpreter, because the suite itself has
-loaded scipy long before.
+handling, ``simulate`` and the Kalman methods start in numpy's time. The
+binding loads scipy's LAPACK extension by file, never the ``scipy.linalg``
+package. Each check runs in a fresh child interpreter, because the suite
+itself has loaded scipy long before.
 """
 
 import json
@@ -64,7 +65,61 @@ def test_a_viking_run_binds_lapack_at_its_first_factorization(tmp_path):
     args = ["experiment", "--experiment", "ms-noniid", "--method", "viking", "--seeds", "1", "--n", "20",
             "--out", "exp"]
     out = _child(_RUN_CLI, *args, cwd=tmp_path)
-    assert out["code"] == 0 and "scipy.linalg.lapack" in out["scipy"]
+    assert out["code"] == 0 and "scipy.linalg._flapack" in out["scipy"] and "scipy.linalg" not in out["scipy"]
+
+
+def test_a_later_scipy_linalg_import_adopts_the_bound_routines():
+    out = _child("""
+import json
+import numpy as np
+import viking.linalg as L
+L.spd_inv(np.eye(2))
+import scipy.linalg
+print(json.dumps([scipy.linalg.lapack.dpotrf is L.dpotrf, scipy.linalg.lapack.dtrtri is L.dtrtri,
+                  scipy.linalg.lapack.dpotrs is L.dpotrs]))
+""")
+    assert out == [True, True, True]
+
+
+def test_binding_reuses_the_extension_scipy_linalg_loaded_first():
+    out = _child("""
+import json, sys
+import scipy.linalg
+flapack = sys.modules["scipy.linalg._flapack"]
+import viking.linalg as L
+loads = []
+L.module_from_spec = loads.append
+L.dpotrf
+print(json.dumps([loads, sys.modules["scipy.linalg._flapack"] is flapack, L.dpotrf is flapack.dpotrf,
+                  L.dtrtri is scipy.linalg.lapack.dtrtri]))
+""")
+    assert out == [[], True, True, True]
+
+
+def test_scipy_works_after_the_extension_is_loaded_alone():
+    out = _child("""
+import json
+import numpy as np
+import viking.linalg as L
+m = np.array([[4.0, 1.0], [1.0, 3.0]])
+L.spd_factor(m)
+from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve
+x = cho_solve(cho_factor(m), np.ones(2))
+print(json.dumps([bool(np.allclose(m @ x, 1.0)), bool(np.isclose(quad(np.cos, 0.0, np.pi / 2)[0], 1.0))]))
+""")
+    assert out == [True, True]
+
+
+def test_psi_value_loads_no_scipy_linalg():
+    out = _child("""
+import json, sys
+import numpy as np
+import viking
+value = viking.psi_value(viking.NoiseTransform.diagonal(2), np.ones(2), np.eye(2), np.eye(2))
+print(json.dumps(["scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules, bool(np.isfinite(value))]))
+""")
+    assert out == [False, True, True]
 
 
 def test_lapack_routines_are_module_attributes_before_any_factorization():
@@ -97,3 +152,19 @@ def test_collecting_the_acceptance_suite_loads_lapack_before_c01_times_itself():
     # at collection, so binding LAPACK inside c01 costs no import
     out = _child("import json, sys, oracles\nprint(json.dumps('scipy.linalg.lapack' in sys.modules))")
     assert out is True
+
+
+def test_a_missing_extension_raises_import_error_naming_the_path(tmp_path):
+    out = _child("""
+import json, sys
+import scipy
+import viking.linalg as L
+scipy.__path__ = [sys.argv[1]]
+try:
+    L.dpotrf
+    print(json.dumps(None))
+except ImportError as exc:
+    print(json.dumps([exc.path, str(exc)]))
+""", str(tmp_path))
+    path = str(tmp_path / "linalg")
+    assert out == [path, f"no scipy.linalg._flapack extension in {path}"]

@@ -107,6 +107,23 @@ def test_psi_value_scalar_minimized_at_c_equals_B():
     assert val(B) <= min(vals) + 1e-12
 
 
+def test_psi_value_matches_the_cho_solve_form_bit_for_bit():
+    # dpotrs with the factor is what scipy's cho_solve calls
+    from scipy.linalg import cho_solve
+
+    from viking.linalg import spd_factor
+
+    rng = np.random.default_rng(11)
+    for d in range(1, 21):
+        for transform in (NoiseTransform.scalar(d), NoiseTransform.diagonal(d)):
+            b = rng.uniform(0.01, 2.0, size=transform.latent_dim)
+            B, KPK = rand_spd(rng, d), rand_spd(rng, d, ridge=0.01)
+            factor = spd_factor(KPK + apply_f(transform, b))
+            expected = float(2.0 * np.sum(np.log(np.diagonal(factor)))
+                             + np.trace(cho_solve((factor, True), B, check_finite=False)))
+            assert psi_value(transform, b, B, KPK) == expected
+
+
 def test_psi_value_singular_raises():
     ts = NoiseTransform.scalar(2)
     with pytest.raises(SingularMatrixError):

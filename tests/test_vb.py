@@ -24,6 +24,7 @@ from viking.vb import (
     update_s,
     update_state_moments,
     viking_run,
+    viking_run_batch,
     viking_step,
 )
 from oracles import (
@@ -605,3 +606,52 @@ def test_update_b_clamp_clips_coordinates_of_the_unconstrained_minimizer():
 def test_hyper_rejects_a_random_walk_variance_that_is_not_finite_and_nonnegative(key, value):
     with pytest.raises(ValueError, match=f"^{key} = {value} must be finite and >= 0"):
         VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), **{key: value})
+
+
+def _with_gaussian(init, mean, cov):
+    return VikingState(GaussianState(mean, cov), init.beliefs, init.step_index, init.rng)
+
+
+_BAD_GAUSSIANS = {
+    "nan mean": lambda d: (np.full(d, np.nan), np.eye(d)),
+    "inf covariance": lambda d: (np.zeros(d), np.where(np.eye(d) > 0, np.inf, 0.0)),
+    "negative covariance": lambda d: (np.zeros(d), -np.eye(d)),
+    "asymmetric covariance": lambda d: (np.zeros(d), np.triu(np.ones((d, d)))),
+    "short mean": lambda d: (np.zeros(d - 1), np.eye(d)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_GAUSSIANS))
+def test_run_rejects_a_bad_gaussian_init_before_the_first_step(case, monkeypatch):
+    # a NaN mean used to give all-NaN forecasts without an error, and -I a
+    # singular-matrix error at step 0 that did not name the init
+    ds = _dataset(n=20, seed=4)
+    hyper = _hyper(learn_a=True, learn_b=True, rho_b=1e-3)
+    init = _with_gaussian(default_initial_state(hyper.transform, seed=1), *_BAD_GAUSSIANS[case](5))
+    monkeypatch.setattr(vk.vb, "viking_step", None)  # no step may run
+    with pytest.raises(ValueError, match="^init: "):
+        viking_run(ds, hyper, init=init)
+
+
+def test_batch_names_the_filter_whose_gaussian_init_is_bad():
+    ds = _dataset(n=20, seed=4)
+    hyper = _hyper()
+    inits = [default_initial_state(hyper.transform, seed=s) for s in (1, 2, 3)]
+    inits[1] = _with_gaussian(inits[1], np.zeros(5), -np.eye(5))
+    x, y = np.stack([ds.x] * 3, axis=1), np.stack([ds.y] * 3, axis=1)
+    with pytest.raises(ValueError, match="^init, filter 1: covariance has a significantly negative eigenvalue"):
+        viking_run_batch(x, y, hyper, inits, keep_state=False)
+
+
+def test_a_zero_or_singular_gaussian_init_still_runs():
+    # p0 = 0 stays legal: the filter starts certain of its state
+    ds = _dataset(n=20, seed=4)
+    hyper = _hyper()
+    singular = np.zeros((5, 5))
+    singular[0, 0] = 1.0
+    for cov in (-np.zeros((5, 5)), singular):
+        init = _with_gaussian(default_initial_state(hyper.transform, seed=1), -np.zeros(5), cov)
+        trace, _ = viking_run(ds, hyper, init=init)
+        assert np.isfinite(trace.forecast).all()
+    trace, _ = viking_run(ds, hyper, init=default_initial_state(hyper.transform, p0=0.0, seed=1))
+    assert np.isfinite(trace.forecast).all()
