@@ -7,10 +7,10 @@ config to trace CSV), ``experiment`` (named experiment end to end),
 ``_`` are interchangeable; any other is a usage error): experiment, method,
 setting, n, seeds, seed, n_mc, n_iter, rho_a, rho_b, learn_a, learn_b, the
 initial beliefs a0, s0, q0, sigma0, p0, the constant-variance grid q_grid,
-q_shape (masked | full | both), sigma2_const, the design's walk_var, and out,
-data, nmc_list. An unset key takes the harness default, and a filter key the
-filter's own. Exit codes: 0 on success, 1 on usage errors, 2 on numerical
-failure.
+q_shape (masked | full | both; unset, full alone on the resonator and both
+elsewhere), sigma2_const, the design's walk_var, and out, data, nmc_list. An
+unset key takes the harness default, and a filter key the filter's own. Exit
+codes: 0 on success, 1 on usage errors, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .harness import (
     run_cell,
     run_experiment,
     sweep_nmc,
-    transition_for,
 )
 from .linalg import SingularMatrixError
 from .records import write_trace_csv
@@ -184,12 +183,7 @@ def _cmd_filter(opts: _Options) -> int:
         raise UsageError("filter requires --data <dataset csv>")
     cfg = _build_config(opts)
     ds = read_dataset_csv(data)
-    K = transition_for(cfg, ds.d)
-    if K.shape[0] != ds.d:
-        raise ValueError(f"dataset dimension {ds.d} does not match transition dimension {K.shape[0]}")
-    seed = cfg.seeds[0]
-    point = grid_points(cfg)[0]
-    trace = run_cell(cfg, point, ds, seed)
+    trace = run_cell(cfg, grid_points(cfg)[0], ds, cfg.seeds[0])
     out = _out_dir(opts)
     path = out / f"trace-{cfg.method.value}-{cfg.setting.value}.csv"
     write_trace_csv(trace, path)

@@ -6,11 +6,15 @@ three methods: the adaptive filter, a Kalman oracle driven by the recorded
 true variances, and constant-variance Kalman baselines over a grid of
 state-noise levels. The score is the mean squared one-step forecast error
 over the second half of each run; grid methods report every grid point and
-select the best a posteriori by mean score across seeds. The Kalman methods
-run every (grid point, seed) cell of an experiment in one recursion, with the
-grid points and the seeds on leading filter axes; the adaptive filter runs
-the seeds of one grid point at a time in one recursion, with the seeds on a
-leading filter axis.
+select the best a posteriori by mean score across seeds. One runner,
+``_point_traces``, runs the (grid point, seed) cells of an experiment, and
+``run_cell`` is its one-cell case. The Kalman methods run every cell in one
+recursion, with the grid points and the seeds on leading filter axes; the
+adaptive filter runs the seeds of one grid point at a time in one recursion,
+with the seeds on a leading filter axis. All seeds of a point share its
+``rho_b`` and the initial latent covariance ``sigma0`` (the resonator pins it
+to 0 for every seed), so a batch never mixes a zero latent prior with a
+nonzero one.
 
 Output layout: ``<out>/<experiment>/<method>-<setting>/seed<k>.csv`` per-seed
 traces (for the selected grid point) plus ``summary.csv`` alongside them.
@@ -107,7 +111,7 @@ class ExperimentConfig:
     learn_a: bool | None = None
     learn_b: bool | None = None
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID
-    q_shapes: tuple[QShape, ...] = (QShape.MASKED, QShape.FULL)
+    q_shapes: tuple[QShape, ...] | None = None  # None: every shape the experiment's state supports
     sigma2_const: float = 1.0
     init: InitOverrides = field(default_factory=InitOverrides)
     walk_var: float = DEFAULT_WALK_VAR
@@ -117,7 +121,7 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 (the second-half metric needs at least one point)")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if not self.q_grid or not self.q_shapes or () in (self.rho_a, self.rho_b):
+        if not self.q_grid or () in (self.q_shapes, self.rho_a, self.rho_b):
             raise ValueError("grids must be non-empty")
         for key in ("rho_a", "rho_b", "q_grid"):
             value = getattr(self, key)
@@ -169,7 +173,7 @@ def transition_for(cfg: ExperimentConfig, d: int) -> np.ndarray:
 
 # The resonator's state noise is known, so only the observation variance is
 # learned; while b is not learned, f(b0) is pinned to the recorded noise with no
-# latent uncertainty (see ``run_cell``).
+# latent uncertainty (see ``_viking_points``).
 RESONATOR_DEFAULTS = {"rho_a": math.exp(-6.0), "rho_b": 0.0, "learn_b": False}
 
 
@@ -205,8 +209,9 @@ def grid_points(cfg: ExperimentConfig) -> list[GridPoint]:
                 for a in ras for b in rbs]
     if cfg.method is Method.KALMAN_ORACLE:
         return [GridPoint("true")]
-    return [GridPoint(f"shape={s.value},q={q:.6g}", q=q, shape=s)
-            for s in cfg.q_shapes for q in cfg.q_grid]
+    # the masked shape needs the regressions' 5-dimensional state
+    shapes = cfg.q_shapes or ((QShape.FULL,) if cfg.experiment is ExperimentKind.RESONATOR else tuple(QShape))
+    return [GridPoint(f"shape={s.value},q={q:.6g}", q=q, shape=s) for s in shapes for q in cfg.q_grid]
 
 
 def _constant_q_matrix(shape: QShape, q: float, d: int) -> np.ndarray:
@@ -218,17 +223,10 @@ def _constant_q_matrix(shape: QShape, q: float, d: int) -> np.ndarray:
 
 
 def _kalman_points(cfg: ExperimentConfig, points: list[GridPoint], datasets: list[Dataset],
-                   keep_state: bool) -> Iterator[list[Trace]]:
-    """The Kalman cells of each grid point in turn, one trace per dataset.
-
-    Every (grid point, dataset) cell runs in one recursion, with the grid
-    points on a leading filter axis; then each point's traces are yielded as
-    views into its blocks. Each trace is the one its cell gets alone.
-    ``keep_state`` adds the ``theta``/``cov`` columns. A non-finite input
-    names its dataset's seed and its step.
-    """
-    x = np.stack([ds.x for ds in datasets], axis=1)
-    y = np.stack([ds.y for ds in datasets], axis=1)
+                   x: np.ndarray, y: np.ndarray, keep_state: bool) -> Iterator[list[Trace]]:
+    """The Kalman cells of :func:`_point_traces`: every (grid point, dataset)
+    cell runs in one recursion, with the grid points on a leading filter
+    axis; then each point's traces are yielded as views into its blocks."""
     d = x.shape[-1]
     if cfg.method is Method.KALMAN_ORACLE:
         if any(ds.truth is None for ds in datasets):
@@ -242,85 +240,58 @@ def _kalman_points(cfg: ExperimentConfig, points: list[GridPoint], datasets: lis
         Q = np.stack([_constant_q_matrix(point.shape, point.q, d) for point in points])[:, None]
         sigma2 = float(cfg.sigma2_const)
     init = GaussianState(np.zeros(d), cfg.init.p0 * np.eye(d))
-    try:
-        blocks = kalman_run_grid(x, y, transition_for(cfg, d), Q, sigma2, init, keep_state)
-    except ValueError as exc:
-        if not hasattr(exc, "filter"):
-            raise
-        raise ValueError(f"seed {datasets[exc.filter].seed}, {exc}") from exc
+    blocks = kalman_run_grid(x, y, transition_for(cfg, d), Q, sigma2, init, keep_state)
     for g in range(len(points)):
         yield kalman_traces(y, sigma2, blocks, g)
 
 
-def _kalman_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Dataset],
-                  keep_state: bool) -> list[Trace]:
-    """The Kalman cells of one grid point, one per dataset: the one-point
-    case of :func:`_kalman_points`."""
-    return next(_kalman_points(cfg, [point], datasets, keep_state))
-
-
-def _viking_cells(cfg: ExperimentConfig, point: GridPoint, datasets: list[Dataset], seeds: list[int],
-                  keep_state: bool) -> list[Trace]:
-    """The VIKING cells of one grid point, one per (dataset, seed), in one
-    batched recursion (:func:`viking_run_batch`), or two when the seeds' initial
-    latent covariances are zero for some and not others; each trace is the
-    one its cell gets alone. A singular matrix or a non-finite input names the
-    seed and the grid point."""
-    d = datasets[0].d
+def _viking_points(cfg: ExperimentConfig, points: list[GridPoint], datasets: list[Dataset],
+                   x: np.ndarray, y: np.ndarray, keep_state: bool) -> Iterator[list[Trace]]:
+    """The VIKING cells of :func:`_point_traces`: one :func:`viking_run_batch`
+    per grid point (its hyperparameters differ between points), each dataset's
+    filter drawing from its own seed's generator."""
+    d = x.shape[-1]
     transform = NoiseTransform(cfg.setting, d)
-    fields = {**_viking_fields(cfg), "rho_a": point.rho_a, "rho_b": point.rho_b}
-    hyper = VikingHyper(transform, transition_for(cfg, d), n_mc=cfg.n_mc, n_iter=cfg.n_iter, **fields)
-    inits = []
-    for ds, seed in zip(datasets, seeds):
-        init = _set_fields(**vars(cfg.init))
-        if cfg.experiment is ExperimentKind.RESONATOR and not hyper.learn_b:
-            q_known = ds.truth.q_diag[0]
-            pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
-            init = {"q0": pinned, "sigma0": 0.0, **init}
-        inits.append(default_initial_state(transform, seed=seed, **init))
-    # estimate_precision's zero-Sigma short-circuit takes no draws and sets
-    # A_inv exactly, and it is taken for a whole batch, so a batch cannot mix
-    # the two kinds: seeds whose latent covariance plus rho_b starts at zero
-    # run as their own batch. A batch stays unmixed, because a zero
-    # covariance either stays zero (a known b, with rho_b = 0) or turns
-    # nonzero at the first b update, for all of its filters at once.
-    zero = [not st.beliefs.latent_prior(hyper.rho_b)[1] for st in inits]
-    traces = [None] * len(inits)
-    for kind in dict.fromkeys(zero):
-        idx = [i for i, z in enumerate(zero) if z == kind]
-        x = np.stack([datasets[i].x for i in idx], axis=1)
-        y = np.stack([datasets[i].y for i in idx], axis=1)
+    for point in points:
+        fields = {**_viking_fields(cfg), "rho_a": point.rho_a, "rho_b": point.rho_b}
+        hyper = VikingHyper(transform, transition_for(cfg, d), n_mc=cfg.n_mc, n_iter=cfg.n_iter, **fields)
+        inits = []
+        for ds in datasets:
+            init = _set_fields(**vars(cfg.init))
+            if cfg.experiment is ExperimentKind.RESONATOR and not hyper.learn_b:
+                q_known = ds.truth.q_diag[0]
+                pinned = q_known if transform.latent_dim > 1 else float(q_known.mean())
+                init = {"q0": pinned, "sigma0": 0.0, **init}
+            inits.append(default_initial_state(transform, seed=ds.seed, **init))
+        yield viking_run_batch(x, y, hyper, inits, keep_state)[0]
+
+
+def _point_traces(cfg: ExperimentConfig, points: list[GridPoint], datasets: list[Dataset],
+                  keep_state: bool) -> Iterator[list[Trace]]:
+    """One trace per dataset at each grid point in turn, each the one its cell
+    gets alone; ``keep_state`` adds the ``theta``/``cov`` columns. The series
+    are stacked once, the datasets on a leading filter axis (see the module
+    docstring). A failing cell (a singular matrix, a non-finite input) is
+    named here by its dataset's seed and, for VIKING, its grid point."""
+    x = np.stack([ds.x for ds in datasets], axis=1)
+    y = np.stack([ds.y for ds in datasets], axis=1)
+    viking = cfg.method is Method.VIKING
+    cells = (_viking_points if viking else _kalman_points)(cfg, points, datasets, x, y, keep_state)
+    for point in points:
         try:
-            batch, _ = viking_run_batch(x, y, hyper, [inits[i] for i in idx], keep_state)
+            traces = next(cells)
         except (SingularMatrixError, ValueError) as exc:
             if not hasattr(exc, "filter"):
                 raise
-            raise type(exc)(f"seed {seeds[idx[exc.filter]]}, {point.label}, {exc}") from exc
-        for i, trace in zip(idx, batch):
-            traces[i] = trace
-    return traces
+            label = f"{point.label}, " if viking else ""
+            raise type(exc)(f"seed {datasets[exc.filter].seed}, {label}{exc}") from exc
+        yield traces
 
 
 def run_cell(cfg: ExperimentConfig, point: GridPoint, ds: Dataset, seed: int) -> Trace:
     """One (grid point, seed) run over an already generated dataset, with the
-    ``theta``/``cov`` columns: the one-seed case of the batched runners."""
-    if cfg.method is not Method.VIKING:
-        return _kalman_cells(cfg, point, [replace(ds, seed=seed)], keep_state=True)[0]
-    return _viking_cells(cfg, point, [ds], [seed], keep_state=True)[0]
-
-
-def _point_traces(cfg: ExperimentConfig, points: list[GridPoint],
-                  datasets: dict[int, Dataset]) -> Iterator[list[Trace]]:
-    """One trace per seed at each grid point in turn, without the
-    ``theta``/``cov`` columns. The Kalman methods run every cell in one
-    recursion; VIKING runs the seeds of each grid point in one recursion
-    (its hyperparameters differ between points)."""
-    if cfg.method is not Method.VIKING:
-        yield from _kalman_points(cfg, points, [datasets[seed] for seed in cfg.seeds], keep_state=False)
-        return
-    for point in points:
-        yield _viking_cells(cfg, point, [datasets[seed] for seed in cfg.seeds], list(cfg.seeds),
-                            keep_state=False)
+    ``theta``/``cov`` columns: the one-cell case of :func:`_point_traces`."""
+    return next(_point_traces(cfg, [point], [replace(ds, seed=seed)], keep_state=True))[0]
 
 
 @dataclass
@@ -352,19 +323,20 @@ def _stderr(values: np.ndarray) -> float:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentSummary:
     """Evaluate every grid point over the configured seeds.
 
-    Every (grid point, seed) cell runs once; the Kalman methods run all of
-    them in one recursion of ``n`` steps (for the constant-Q grid, a
-    ``(G, 1, d, d)`` stack of Qs over ``(G, B)`` filters), then score one
-    grid point at a time. When ``out_dir`` is given, per-seed traces of the
-    selected grid point (from that same run; only the best point's so far
+    Every (grid point, seed) cell runs once, through :func:`_point_traces`:
+    the Kalman methods run all of them in one recursion of ``n`` steps (for
+    the constant-Q grid, a ``(G, 1, d, d)`` stack of Qs over ``(G, B)``
+    filters), VIKING one recursion per grid point over its seeds; grid points
+    are scored one at a time. When ``out_dir`` is given, per-seed traces of
+    the selected grid point (from that same run; only the best point's so far
     are kept) and the grid summary are written under
     ``<out>/<experiment>/<method>-<setting>/``.
     """
     points = grid_points(cfg)
-    datasets = {seed: make_dataset(cfg, seed) for seed in cfg.seeds}
+    datasets = [make_dataset(cfg, seed) for seed in cfg.seeds]
     rows: list[SummaryRow] = []
     best, best_traces = 0, []
-    for i, (point, traces) in enumerate(zip(points, _point_traces(cfg, points, datasets))):
+    for i, (point, traces) in enumerate(zip(points, _point_traces(cfg, points, datasets, keep_state=False))):
         mses = np.array([mse_second_half(trace) for trace in traces])
         rows.append(SummaryRow(cfg.method.value, cfg.setting.value, point.label,
                                float(mses.mean()), _stderr(mses)))

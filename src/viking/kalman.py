@@ -191,7 +191,7 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     """
     n, B, d = x.shape
     if K.shape != (d, d):
-        raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d})")
+        raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d}) for the {d}-dimensional state")
     G = len(Q) if Q.ndim == 4 else 1
     if G < 1 or Q.shape not in ((G, 1, d, d), (n, 1, B, d, d)):
         raise ValueError(f"Q has shape {Q.shape}, expected (G, 1, {d}, {d}) or ({n}, 1, {B}, {d}, {d})")
@@ -221,32 +221,17 @@ def kalman_traces(y: np.ndarray, sigma2, blocks: tuple[np.ndarray, ...], g: int)
                         np.zeros(forecast.shape), sigma2, theta=theta, cov=cov)
 
 
-def kalman_run_batch(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray,
-                     sigma2: np.ndarray, init: GaussianState, keep_state: bool) -> list[Trace]:
-    """Run B filters in one recursion, filter ``b`` on series ``x[:, b]``,
-    ``y[:, b]``; one trace per filter.
-
-    ``x`` is ``(n, B, d)`` and ``y`` ``(n, B)``. ``Q`` is one ``(d, d)``
-    matrix for every filter and step, or ``(n, B, d, d)``; ``sigma2`` is
-    ``(n, B)`` or broadcasts to it. This is :func:`kalman_run_grid` with one
-    grid point, which validates every Q and sigma2 once, up front.
-    ``keep_state`` adds the ``theta``/``cov`` columns. Each filter's trace is
-    the one it gets alone.
-    """
-    n, B, d = x.shape
-    if Q.shape not in ((d, d), (n, B, d, d)):
-        raise ValueError(f"Q has shape {Q.shape}, expected ({d}, {d}) or ({n}, {B}, {d}, {d})")
-    blocks = kalman_run_grid(x, y, K, Q[None, None] if Q.ndim == 2 else Q[:, None], sigma2, init, keep_state)
-    return kalman_traces(y, sigma2, blocks, 0)
-
-
 def kalman_run(series, K: np.ndarray, Q, sigma2, init: GaussianState | None = None) -> Trace:
-    """Run one filter over a dataset: :func:`kalman_run_batch` with B = 1.
+    """Run one filter over a dataset: :func:`kalman_run_grid` with one grid
+    point and one series, read back by :func:`kalman_traces`.
 
     ``Q`` is a ``(d, d)`` matrix or an ``(n, d, d)`` stack; ``sigma2`` a
     constant or an ``(n,)`` sequence. ``init`` defaults to N(0, P0 I).
     """
     Q = np.asarray(Q, dtype=float)
+    sigma2 = np.asarray(sigma2, dtype=float)[..., None]
+    y = series.y[:, None]
     init = init if init is not None else GaussianState(np.zeros(series.d), P0 * np.eye(series.d))
-    return kalman_run_batch(series.x[:, None], series.y[:, None], K, Q[:, None] if Q.ndim == 3 else Q,
-                            np.asarray(sigma2, dtype=float)[..., None], init, keep_state=True)[0]
+    blocks = kalman_run_grid(series.x[:, None], y, K, Q[:, None, None] if Q.ndim == 3 else Q[None, None],
+                             sigma2, init, keep_state=True)
+    return kalman_traces(y, sigma2, blocks, 0)[0]

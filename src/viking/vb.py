@@ -92,7 +92,8 @@ class VikingHyper:
         self.K = np.asarray(self.K, dtype=float)
         d = self.transform.dim
         if self.K.shape != (d, d):
-            raise ValueError(f"transition matrix has shape {self.K.shape}, expected ({d}, {d})")
+            raise ValueError(f"transition matrix has shape {self.K.shape}, "
+                             f"expected ({d}, {d}) for the {d}-dimensional state")
         if self.n_mc < 1 or self.n_iter < 1:
             raise ValueError("n_mc and n_iter must be >= 1")
         for name in ("rho_a", "rho_b"):
@@ -116,8 +117,9 @@ class VarianceBeliefs:
         """The latent's prior at the next step, ``Sigma + rho_b I``, and
         whether ``b`` is learned there: ``learn_b`` and a nonzero prior. A
         zero prior (``rho_b = 0``, no latent uncertainty) means ``b`` is
-        known. For a batch the answer is its filters' together, which a
-        batch never mixes (see :func:`estimate_precision`)."""
+        known. For a batch the answer is its filters' together; the
+        harness's batches share ``rho_b`` and ``sigma0``, so they never mix
+        zero and nonzero priors (see :func:`estimate_precision`)."""
         prior = self.Sigma + rho_b * np.eye(self.Sigma.shape[-1])
         return prior, learn_b and bool(prior.any())
 
@@ -219,7 +221,8 @@ def estimate_precision(b_hat: np.ndarray, Sigma: np.ndarray, KPK: np.ndarray,
     draw is taken and ``A_inv`` is ``KPK + f(b_hat)`` exactly, at one
     inversion. That choice is made for the whole batch (leading filter axis
     on every array, one generator per filter), so a batch must have either
-    every ``Sigma`` zero or none.
+    every ``Sigma`` zero or none, else ``ValueError``. The harness's batches
+    (a grid point's seeds) never mix them: they share ``rho_b`` and ``sigma0``.
     """
     d = transform.dim
     nonzero = Sigma.any(axis=(-2, -1))
@@ -352,7 +355,8 @@ def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[
     module docstring).
     Non-finite covariates or observations raise ``ValueError`` and numerical
     singularities ``SingularMatrixError``, naming the step and, in a batch,
-    the filter (also as the exception's ``filter``).
+    the filter (also as the exception's ``filter``); a batch mixing zero and
+    nonzero latent priors raises ``ValueError`` naming the step.
     """
     d = hyper.transform.dim
     batch = st.state.mean.shape[:-1]
@@ -369,6 +373,8 @@ def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[
         return _step(st, hyper, x, y if batch else float(y))
     except SingularMatrixError as exc:
         raise _step_error(exc, st, int(exc.index[0]) if batch else 0) from exc
+    except ValueError as exc:  # a batch mixing zero and nonzero latent priors
+        raise ValueError(f"step {st.step_index}: {exc}") from exc
 
 
 def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[VikingState, StepRecord]:

@@ -1,6 +1,6 @@
-"""Each (grid point, seed) cell of a ``run_experiment`` call runs once, and
-the Kalman methods run the seeds of a grid point as one batched recursion:
-every cell must give, bit for bit, the trace it gets alone."""
+"""Each (grid point, seed) cell of a ``run_experiment`` call runs once,
+through one runner that batches the seeds (and, for the Kalman methods, the
+grid points): every cell must give, bit for bit, the trace it gets alone."""
 
 from dataclasses import fields, replace
 
@@ -12,9 +12,10 @@ from viking import harness
 from viking.harness import (
     ExperimentConfig,
     ExperimentKind,
+    InitOverrides,
     Method,
     Setting,
-    _kalman_cells,
+    _point_traces,
     _stderr,
     grid_points,
     make_dataset,
@@ -33,6 +34,11 @@ CONFIGS = {
                                            rho_b=(1e-3, 5e-2)),
     "resonator-learn-b-off": ExperimentConfig(ExperimentKind.RESONATOR, Method.VIKING,
                                               n=80, seeds=(1, 2, 3)),
+    # one experiment mixing a zero and a nonzero latent prior, one per grid
+    # point: rho_b = 0 with sigma0 = 0 is a known b, rho_b > 0 a learned one
+    "viking-zero-and-nonzero-latent-prior": ExperimentConfig(
+        ExperimentKind.MS_NONIID, Method.VIKING, n=40, seeds=(1, 2, 3), n_mc=3, rho_b=(0.0, 0.05),
+        init=InitOverrides(sigma0=0.0)),
     "kalman-constant-grid": ExperimentConfig(ExperimentKind.MS_NONIID, Method.KALMAN_CONSTANT,
                                              n=60, seeds=(1, 2)),
     "kalman-oracle": ExperimentConfig(ExperimentKind.WS_IID, Method.KALMAN_ORACLE, n=60, seeds=(1, 2, 3)),
@@ -53,11 +59,11 @@ def test_experiment_cells_match_their_own_runs(name, tmp_path):
     datasets = {seed: make_dataset(cfg, seed) for seed in cfg.seeds}
     cells = [(point, seed) for point in points for seed in cfg.seeds]
     alone = [run_cell(cfg, point, datasets[seed], seed) for point, seed in cells]
-    if cfg.method is not Method.VIKING:
-        batched = [trace for point in points
-                   for trace in _kalman_cells(cfg, point, list(datasets.values()), keep_state=True)]
-        for cell, got, want in zip(cells, batched, alone):
-            _assert_same_columns(got, want, cell)
+    batched = [trace for traces in _point_traces(cfg, points, list(datasets.values()), keep_state=True)
+               for trace in traces]
+    assert len(batched) == len(cells)
+    for cell, got, want in zip(cells, batched, alone):
+        _assert_same_columns(got, want, cell)
 
     summary = run_experiment(cfg, out_dir=tmp_path)
     mses = np.array([mse_second_half(trace) for trace in alone]).reshape(len(points), len(cfg.seeds))
@@ -83,18 +89,19 @@ def test_run_with_output_inverts_each_cell_once(tmp_path):
 
 
 def test_singular_cell_names_its_step_and_seed(monkeypatch):
-    # seed 2 starts with no state covariance and a zero noise matrix, so its
-    # first propagated covariance is singular; seeds 1 and 3 are healthy
+    # every seed starts with a zero latent covariance (sigma0 = 0, rho_b = 0);
+    # seed 2 also starts with no state covariance and a zero noise matrix, so
+    # its first propagated covariance is singular; seeds 1 and 3 are healthy
     cfg = ExperimentConfig(ExperimentKind.WS_IID, Method.VIKING, n=20, seeds=(1, 2, 3), n_mc=3,
-                           rho_b=0.0, learn_b=False)
+                           rho_b=0.0, learn_b=False, init=InitOverrides(sigma0=0.0))
     default = harness.default_initial_state
 
     def initial_state(transform, seed, **kw):
         st = default(transform, seed=seed, **kw)
+        assert not st.beliefs.Sigma.any()
         if seed == 2:
             st.state.cov[:] = 0.0
             st.beliefs.b_hat[:] = -1.0
-            st.beliefs.Sigma[:] = 0.0
         return st
 
     monkeypatch.setattr(harness, "default_initial_state", initial_state)
@@ -148,7 +155,8 @@ def _assert_matches_alone(traces, x, y, hyper, inits, where) -> None:
             assert _same_bits(getattr(trace, f.name), want), (where, b, f.name)
 
 
-@pytest.mark.parametrize("name", ["viking-diagonal-grid", "viking-scalar-grid", "resonator-learn-b-off"])
+@pytest.mark.parametrize("name", ["viking-diagonal-grid", "viking-scalar-grid", "resonator-learn-b-off",
+                                  "viking-zero-and-nonzero-latent-prior"])
 def test_viking_batch_columns_match_single_filter_steps(name, monkeypatch):
     # every column of every batched cell, theta/cov included, bit for bit
     import copy
@@ -163,8 +171,8 @@ def test_viking_batch_columns_match_single_filter_steps(name, monkeypatch):
 
     monkeypatch.setattr(harness, "viking_run_batch", recording)
     datasets = [make_dataset(cfg, seed) for seed in cfg.seeds]
-    for point in grid_points(cfg):
-        traces = harness._viking_cells(cfg, point, datasets, list(cfg.seeds), keep_state=True)
+    points = grid_points(cfg)
+    for point, traces in zip(points, _point_traces(cfg, points, datasets, keep_state=True)):
         x, y, hyper, inits = runs.pop()
         assert x.shape[1] == len(cfg.seeds) > 1
         _assert_matches_alone(traces, x, y, hyper, inits, point.label)
@@ -200,39 +208,9 @@ def test_batch_of_one_matches_the_no_axis_step(kind, d):
 def test_viking_batch_rejects_mixing_zero_and_nonzero_latent_covariance():
     hyper = vk.VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), rho_b=0.0, n_mc=2, learn_b=False)
     st = vk.vb.stack_states([vk.default_initial_state(hyper.transform, sigma0=s0, seed=1) for s0 in (0.0, 0.1)])
-    with pytest.raises(ValueError, match="mixes zero and nonzero latent covariances"):
+    with pytest.raises(ValueError, match=r"^step 0: a batch mixes zero and nonzero latent covariances$") as info:
         vk.viking_step(st, hyper, np.ones((2, 2)), np.zeros(2))
-
-
-def test_viking_point_mixing_zero_and_nonzero_latent_covariance(monkeypatch):
-    # seeds 1 and 3 start with no latent uncertainty (estimate_precision's
-    # short-circuit), seeds 2 and 4 sample; they run as two batches, and
-    # every cell still gets the bits it gets alone
-    cfg = ExperimentConfig(ExperimentKind.MS_NONIID, Method.VIKING, n=40, seeds=(1, 2, 3, 4), n_mc=3,
-                           rho_b=0.0, learn_b=False)
-    default = harness.default_initial_state
-
-    def initial_state(transform, seed, **kw):
-        return default(transform, seed=seed, **{**kw, "sigma0": 0.0 if seed % 2 else 0.05})
-
-    batches = []
-    run_batch = harness.viking_run_batch
-
-    def recording(x, y, hyper, inits, keep_state):
-        batches.append(hyper)
-        return run_batch(x, y, hyper, inits, keep_state)
-
-    monkeypatch.setattr(harness, "default_initial_state", initial_state)
-    monkeypatch.setattr(harness, "viking_run_batch", recording)
-    datasets = [make_dataset(cfg, seed) for seed in cfg.seeds]
-    (point,) = grid_points(cfg)
-    traces = harness._viking_cells(cfg, point, datasets, list(cfg.seeds), keep_state=True)
-    assert len(batches) == 2
-    hyper = batches[0]
-    x = np.stack([ds.x for ds in datasets], axis=1)
-    y = np.stack([ds.y for ds in datasets], axis=1)
-    inits = [initial_state(hyper.transform, seed=seed) for seed in cfg.seeds]
-    _assert_matches_alone(traces, x, y, hyper, inits, "mixed")
+    assert not hasattr(info.value, "filter")  # no one filter is at fault
 
 
 def test_viking_grid_steps_once_per_point(monkeypatch, tmp_path):

@@ -52,6 +52,41 @@ def test_filter_wrong_dimension_exits_1(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["viking", "kalman-oracle", "kalman-constant"])
+def test_filter_dataset_of_another_dimension_exits_1(tmp_path, capsys, method):
+    # a 5-dimensional dataset against the resonator's 3-dimensional transition
+    data = tmp_path / "data.csv"
+    write_dataset_csv(gen_wellspecified(gen_design(DesignKind.IID, 30, 3), seed=3), data)
+    code = run_cli("filter", "--data", str(data), "--method", method,
+                   "--experiment", "resonator", "--out", str(tmp_path))
+    assert code == 1
+    assert "error: transition matrix has shape (3, 3), expected (5, 5)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace-*.csv"))
+
+
+def test_resonator_constant_q_experiment_runs_the_shapes_its_state_supports(tmp_path, capsys):
+    code = run_cli("experiment", "--experiment", "resonator", "--method", "kalman-constant",
+                   "--seeds", "1,2", "--n", "40", "--out", str(tmp_path))
+    assert code == 0
+    assert "resonator kalman-constant-diagonal [shape=full," in capsys.readouterr().out
+    lines = (tmp_path / "resonator/kalman-constant-diagonal/summary.csv").read_text().splitlines()[1:]
+    assert len(lines) == 10 and all(line.startswith("kalman-constant,diagonal,shape=full,q=") for line in lines)
+    assert sorted(p.name for p in (tmp_path / "resonator/kalman-constant-diagonal").iterdir()) == [
+        "seed1.csv", "seed2.csv", "summary.csv"]
+
+
+@pytest.mark.parametrize("q_shape", ["masked", "both"])
+def test_resonator_constant_q_experiment_asking_for_the_masked_shape_exits_1(tmp_path, capsys, q_shape):
+    cfg = tmp_path / "shape.cfg"
+    cfg.write_text(f"q_shape = {q_shape}\n", encoding="utf-8")
+    code = run_cli("experiment", "--experiment", "resonator", "--method", "kalman-constant",
+                   "--seeds", "1", "--n", "40", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: masked constant-Q shape needs a 5-dimensional state" in captured.err
+    assert "mse=" not in captured.out and not list(tmp_path.rglob("summary.csv"))
+
+
 def test_filter_numerical_failure_exits_2(tmp_path, capsys):
     data = tmp_path / "data.csv"
     write_dataset_csv(gen_wellspecified(gen_design(DesignKind.IID, 20, 5), seed=5), data)

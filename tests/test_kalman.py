@@ -3,7 +3,7 @@ import pytest
 
 import viking.kalman
 from viking import Dataset, DesignKind, GaussianState, gen_design, gen_wellspecified, kalman_run, kalman_step
-from viking.kalman import kalman_run_batch, kalman_run_grid, kalman_traces
+from viking.kalman import kalman_run_grid, kalman_traces
 from oracles import quadrature_posterior_1d, rand_spd
 
 
@@ -123,14 +123,14 @@ def test_batch_rejects_wrong_schedule_shapes_before_the_first_step():
     rng = np.random.default_rng(0)
     x, y = rng.random((n, B, d)), rng.random((n, B))
     init = GaussianState(np.zeros(d), np.eye(d))
-    Q = np.broadcast_to(0.1 * np.eye(d), (n, B, d, d))
-    kalman_run_batch(x, y, np.eye(d), Q, np.ones((n, B)), init, keep_state=False)
-    for bad_q in (Q[:-1], np.broadcast_to(0.1 * np.eye(d), (n, B + 1, d, d))):
+    Q = np.broadcast_to(0.1 * np.eye(d), (n, 1, B, d, d))
+    kalman_run_grid(x, y, np.eye(d), Q, np.ones((n, B)), init, keep_state=False)
+    for bad_q in (Q[:-1], np.broadcast_to(0.1 * np.eye(d), (n, 1, B + 1, d, d))):
         with pytest.raises(ValueError):
-            kalman_run_batch(x, y, np.eye(d), bad_q, 1.0, init, keep_state=False)
+            kalman_run_grid(x, y, np.eye(d), bad_q, 1.0, init, keep_state=False)
     for bad_sigma2 in (np.ones((n - 1, B)), np.ones(n + 1)):
         with pytest.raises(ValueError):
-            kalman_run_batch(x, y, np.eye(d), Q, bad_sigma2, init, keep_state=False)
+            kalman_run_grid(x, y, np.eye(d), Q, bad_sigma2, init, keep_state=False)
 
 
 def test_run_residual_identity(small_dataset):
