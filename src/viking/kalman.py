@@ -20,6 +20,28 @@ to turn a ``-0.0`` into ``+0.0`` too (a ``-0.0`` forecast would print
 differently). :func:`kalman_run_grid` finds ``c`` once per run and
 :func:`kalman_step` once per call (:func:`transition_scale`); any other
 transition, such as the resonator's rotation, is multiplied out.
+
+Covariances are symmetrised twice a step: the prior before ``Q`` is added,
+and the posterior as it leaves :func:`rank_one_update`. A posterior is thus
+exactly symmetric (``a + b`` and ``b + a`` are the same bits), and so is the
+next step's scaled ``M = (c·P)·c + 0.0``, whose ``+ 0.0`` has turned each
+``-0.0`` into ``+0.0``. So ``0.5·(M + Mᵀ) = 0.5·(2M)`` gives ``M``'s bits
+back (unless an entry exceeds half the largest double, where the sum
+overflows to ``inf``; no usable covariance comes near), and the grid skips
+that ``sym`` from its second step on, and at its first when ``init.cov``
+equals its transpose exactly (no tolerance). :func:`kalman_step` always
+symmetrises, and so does a product ``K @ P @ K.T``, whose two triangles
+round differently.
+
+A grid run allocates its prior, posterior and scratch arrays once and steps
+in them through numpy's ``out=`` (:class:`_Buffers`); the prediction and the
+innovation variance go straight into the rows of the output blocks, and with
+``keep_state`` so does the posterior. Without buffers numpy allocates each
+result, with the same arithmetic. Each buffer must be C-contiguous, as a
+fresh result is (``np.empty``, then filled): matmul picks its BLAS call by
+the strides, so a buffer with other strides, such as the broadcast ones
+``np.array(np.broadcast_to(...))`` keeps, can change the last bit of
+``P @ x``.
 """
 
 from __future__ import annotations
@@ -58,31 +80,66 @@ def quad_form(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x @ m @ x if x.ndim == 1 else (x[..., None, :] @ m @ x[..., :, None])[..., 0, 0]
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``m @ v`` for each matrix and vector of two stacks (the same bits as one by one)."""
-    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+def _matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``m @ v`` for each matrix and vector of two stacks (the same bits as one
+    by one); into ``out`` when it is given, for stacks only."""
+    if out is None:  # the operator: ``np.matmul`` as a call costs about 0.3 µs more
+        return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+    return np.matmul(m, v[..., None], out[..., None])[..., 0]
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``u @ v`` for each pair of vectors of two stacks (the same bits as one by one)."""
-    return u @ v if u.ndim == 1 else (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``u @ v`` for each pair of vectors of two stacks (the same bits as one
+    by one); into ``out`` when it is given, for stacks only."""
+    if out is None:
+        return u @ v if u.ndim == 1 else (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return np.matmul(u[..., None, :], v[..., :, None], out[..., None, None])[..., 0, 0]
+
+
+@dataclass(slots=True)
+class _Buffers:
+    """Where a predict/update cycle writes its arrays; a ``None`` field lets
+    numpy allocate the result. :func:`kalman_run_grid` fills every field once
+    per run with C-contiguous arrays, and points ``prediction`` and
+    ``pred_var`` (and, with ``keep_state``, the posterior) at each step's
+    rows of its output blocks (see the module docstring). The fields go to
+    numpy's ``out`` positionally: the keyword costs about 0.3 µs a call."""
+
+    prior_mean: np.ndarray | None = None
+    prior_cov: np.ndarray | None = None
+    scratch: np.ndarray | None = None  # a second matrix per filter
+    vec: np.ndarray | None = None      # ``P x``, then the posterior covariance's
+    gain: np.ndarray | None = None
+    post_mean: np.ndarray | None = None
+    post_cov: np.ndarray | None = None
+    prediction: np.ndarray | None = None
+    pred_var: np.ndarray | None = None
+
+
+_ALLOCATE = _Buffers()  # every result a new array; never written to
 
 
 def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff,
-                    x: np.ndarray, y, prediction) -> tuple[GaussianState, np.ndarray]:
+                    x: np.ndarray, y, prediction, out: _Buffers = _ALLOCATE) -> tuple[GaussianState, np.ndarray]:
     """Posterior from one scalar observation ``y = x.theta + noise(sigma_eff)``,
     given its prediction ``x·prior_mean`` (``_dot(x, prior_mean)``), and the
     innovation variance ``x·(P x) + sigma_eff`` that divides the gain.
 
     Every argument may carry the same leading (filter) axes; each filter's
-    arithmetic is the same as when it is passed alone.
+    arithmetic is the same as when it is passed alone. ``out`` is a grid
+    run's buffers, which the posterior, the innovation variance and the
+    scratch are written into; by default every result is a new array, the
+    same bits.
     """
-    cx = _matvec(prior_cov, x)
-    denom = _dot(x, cx) + sigma_eff
-    post_cov = sym(prior_cov - cx[..., :, None] * (cx / denom[..., None])[..., None, :])
+    cx = _matvec(prior_cov, x, out.vec)
+    denom = _dot(x, cx, out.pred_var)
+    denom += sigma_eff  # in place, so into the buffer; a lone filter's scalar is rebound
+    gain = np.divide(cx, denom[..., None], out.gain)
+    outer = np.multiply(cx[..., :, None], gain[..., None, :], out.scratch)
+    post_cov = sym(np.subtract(prior_cov, outer, out.scratch), out.post_cov)
     resid = y - prediction
-    post_mean = prior_mean + _matvec(post_cov, x) * (resid / sigma_eff)[..., None]
-    return GaussianState(post_mean, post_cov), denom
+    step = np.multiply(_matvec(post_cov, x, out.vec), (resid / sigma_eff)[..., None], out.vec)
+    return GaussianState(np.add(prior_mean, step, out.post_mean), post_cov), denom
 
 
 def _check_psd(Q: np.ndarray) -> None:
@@ -139,22 +196,34 @@ def transition_scale(K: np.ndarray) -> np.ndarray | float:
     return c if np.isfinite(c) and np.array_equal(K, c * np.eye(len(K))) else K
 
 
-def _propagate(state: GaussianState, K: np.ndarray | float, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _propagate(state: GaussianState, K: np.ndarray | float, Q: np.ndarray, symmetric: bool = False,
+               out: _Buffers = _ALLOCATE) -> tuple[np.ndarray, np.ndarray]:
     """Prior mean and covariance, ``K @ mean`` and ``sym(K @ cov @ K.T) + Q``;
     a float ``K`` is the scale ``c`` of a transition ``c·I``, applied by
-    scaling with the same bits (see the module docstring)."""
+    scaling with the same bits, and without ``sym`` when ``symmetric`` says
+    ``state.cov`` is exactly symmetric (see the module docstring). ``out`` is
+    as :func:`rank_one_update` takes it."""
     if isinstance(K, float):
-        return K * state.mean + 0.0, sym(K * state.cov * K + 0.0) + Q
-    return _matvec(K, state.mean), sym(K @ state.cov @ K.T) + Q
+        mean = np.add(np.multiply(K, state.mean, out.prior_mean), 0.0, out.prior_mean)
+        cov = np.add(np.multiply(np.multiply(K, state.cov, out.prior_cov), K, out.prior_cov), 0.0, out.prior_cov)
+    else:
+        mean = _matvec(K, state.mean, out.prior_mean)
+        cov = np.matmul(np.matmul(K, state.cov, out.scratch), K.T, out.prior_cov)
+        symmetric = False  # rounding makes the product's two triangles differ
+    if not symmetric:
+        cov = sym(cov, out.scratch)
+    return mean, np.add(cov, Q, out.prior_cov)
 
 
 def _predict_update(state: GaussianState, K: np.ndarray | float, Q: np.ndarray, sigma2,
-                    x: np.ndarray, y) -> tuple[GaussianState, np.ndarray, np.ndarray]:
+                    x: np.ndarray, y, symmetric: bool = False,
+                    out: _Buffers = _ALLOCATE) -> tuple[GaussianState, np.ndarray, np.ndarray]:
     """One unchecked predict/update cycle; arguments may carry leading filter
-    axes, and ``K`` is as :func:`_propagate` takes it."""
-    prior_mean, prior_cov = _propagate(state, K, Q)
-    prediction = _dot(x, prior_mean)
-    post, pred_var = rank_one_update(prior_mean, prior_cov, sigma2, x, y, prediction)
+    axes, and ``K``, ``symmetric`` and ``out`` are as :func:`_propagate`
+    takes them."""
+    prior_mean, prior_cov = _propagate(state, K, Q, symmetric, out)
+    prediction = _dot(x, prior_mean, out.prediction)
+    post, pred_var = rank_one_update(prior_mean, prior_cov, sigma2, x, y, prediction, out)
     return post, prediction, pred_var
 
 
@@ -163,10 +232,13 @@ def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: floa
     """One predict/update cycle; returns (posterior, prediction, pred_var).
     ``pred_var`` is the update's innovation variance ``x·(P x) + sigma2``,
     ``P`` the propagated prior covariance. A non-finite ``x`` or ``y`` raises
-    ``ValueError``."""
+    ``ValueError``, and so does a ``state`` that is not one finite ``(d,)``
+    mean with a symmetric PSD ``(d, d)`` covariance (within tolerance), its
+    message starting with ``state: ``."""
     _check_sigma2(sigma2)
     _check_psd(Q)
     _check_inputs(x, y)
+    _check_init(state, len(K), "state")
     post, prediction, pred_var = _predict_update(state, transition_scale(K), Q, float(sigma2), x, y)
     return post, float(prediction), float(pred_var)
 
@@ -187,7 +259,10 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     naming ``init``. Returns the ``(n, G, B)`` forecast and forecast-variance
     blocks, then ``theta`` ``(n, G, B, d)`` and ``cov`` ``(n, G, B, d, d)``
     with ``keep_state`` (else ``None``). Each filter's outputs are the ones
-    it gets alone.
+    it gets alone, bit for bit: the steps run in per-run buffers, and skip
+    the prior's ``sym`` wherever it is a no-op, from the second step on and
+    at the first when ``init.cov`` equals its transpose exactly (see the
+    module docstring).
     """
     n, B, d = x.shape
     if K.shape != (d, d):
@@ -201,14 +276,19 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     _check_inputs(x, y)
     _check_init(init, d)
     K = transition_scale(K)
+    symmetric = np.array_equal(init.cov, np.transpose(init.cov))  # no tolerance; later states are posteriors
     state = GaussianState(np.broadcast_to(init.mean, (G, B, d)), np.broadcast_to(init.cov, (G, B, d, d)))
     forecast, forecast_var = np.empty((n, G, B)), np.empty((n, G, B))
     theta, cov = (np.empty((n, G, B, d)), np.empty((n, G, B, d, d))) if keep_state else (None, None)
+    vec, mat = (G, B, d), (G, B, d, d)
+    out = _Buffers(np.empty(vec), np.empty(mat), np.empty(mat), np.empty(vec), np.empty(vec),
+                   np.empty(vec), np.empty(mat))
     for t in range(n):
-        state, forecast[t], forecast_var[t] = _predict_update(
-            state, K, Q if Q.ndim == 4 else Q[t], sigma2[t], x[t], y[t])
+        out.prediction, out.pred_var = forecast[t], forecast_var[t]
         if keep_state:
-            theta[t], cov[t] = state.mean, state.cov
+            out.post_mean, out.post_cov = theta[t], cov[t]
+        state = _predict_update(state, K, Q if Q.ndim == 4 else Q[t], sigma2[t], x[t], y[t],
+                                symmetric or t > 0, out)[0]
     return forecast, forecast_var, theta, cov
 
 

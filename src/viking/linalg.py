@@ -120,9 +120,10 @@ def reset_spd_inversion_count() -> None:
     _inversions = 0
 
 
-def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part of a square matrix, or of each in a stack."""
-    return 0.5 * (m + m.swapaxes(-1, -2))
+def sym(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric part of a square matrix, or of each in a stack; written into
+    ``out`` (not ``m``) when it is given."""
+    return np.multiply(0.5, np.add(m, m.swapaxes(-1, -2), out), out)
 
 
 def _jittered_factor(m: np.ndarray):

@@ -165,14 +165,19 @@ class ExpansionPoint(NamedTuple):
 
 def expansion_point(transform: NoiseTransform, b_hat: np.ndarray) -> ExpansionPoint:
     """:class:`ExpansionPoint` at ``b_hat`` (one latent or a stack), which must
-    be positive in every coordinate; a filter forms it once per step."""
+    be positive in every coordinate; a filter forms it once per step.
+
+    Every coordinate is on :func:`phi`'s active branch, so ``phi'`` and
+    ``phi''`` are its formulas alone, the bits :func:`phi_d1` and
+    :func:`phi_d2` give there."""
     b_hat = _check_latent(transform, b_hat)
     if np.any(b_hat <= 0.0):
         raise ValueError(
             "hessian bound requires f(b_hat) positive definite: every latent coordinate must be > 0"
         )
-    d1 = phi_d1(b_hat)
-    return ExpansionPoint(d1, d1[..., :, None] * d1[..., None, :], phi_d2(b_hat))
+    onep = 1.0 + b_hat
+    d1 = 1.0 / onep
+    return ExpansionPoint(d1, d1[..., :, None] * d1[..., None, :], -1.0 / (onep * onep))
 
 
 def _derivatives(transform: NoiseTransform, B: np.ndarray, C: np.ndarray, d1: np.ndarray,

@@ -226,6 +226,9 @@ def test_scaled_propagate_matches_the_matmul_form(c):
         assert _bits(got_cov) == _bits(want_cov)
         assert np.array_equal(np.signbit(got_mean), np.signbit(want_mean))
         assert np.array_equal(np.signbit(got_cov), np.signbit(want_cov))
+        exact = GaussianState(state.mean, sym(state.cov))  # exactly symmetric, its signed zeros kept
+        assert (_bits(_propagate(exact, transition_scale(K), q, True)[1])
+                == _bits(_propagate(exact, transition_scale(K), q)[1]))
 
 
 def test_other_transitions_keep_the_matmul_form():
@@ -335,6 +338,43 @@ def test_grid_forecast_variance_is_the_innovation_variance_and_the_steps(name, p
             state, prediction, pred_var = kalman_step(state, K, Qs[g, 0], sigma2[t, b], x[t, b], y[t, b])
             assert _bits(prediction) == _bits(forecast[t, g, b])
             assert _bits(pred_var) == _bits(forecast_var[t, g, b])
+            assert _bits(state.mean) == _bits(theta[t, g, b])
+            assert _bits(state.cov) == _bits(cov[t, g, b])
+
+
+@pytest.mark.parametrize("name", ["identity", "contraction", "resonator"])
+def test_grid_symmetrises_an_init_asymmetric_within_tolerance_as_the_steps_do(name):
+    # _check_init accepts it, but it is not exactly symmetric, so the grid's
+    # first prior must go through sym() as kalman_step's does
+    K = _transitions()[name]
+    d = len(K)
+    x, y, _, Qs, _ = _grid_inputs(n=12, B=2, d=d, G=2)
+    cov0 = np.eye(d)
+    cov0[0, 1] = 1e-14
+    init = GaussianState(np.zeros(d), cov0)
+    blocks = kalman_run_grid(x, y, K, Qs, 1.3, init, keep_state=True)
+    for g in range(len(Qs)):
+        for b in range(x.shape[1]):
+            state = init
+            for t in range(len(x)):
+                state, prediction, pred_var = kalman_step(state, K, Qs[g, 0], 1.3, x[t, b], y[t, b])
+                for block, want in zip(blocks, (prediction, pred_var, state.mean, state.cov)):
+                    assert _bits(block[t, g, b]) == _bits(want), (g, b, t)
+
+
+def test_step_and_grid_buffers_never_leak_into_results():
+    x, y, K, Qs, init = _grid_inputs()
+    post, _, _ = kalman_step(init, K, Qs[0, 0], 1.0, x[0, 0], y[0, 0])
+    kept = _bits(post.mean), _bits(post.cov)
+    kalman_step(post, K, Qs[1, 0], 0.7, x[1, 0], y[1, 0])
+    kalman_step(init, K, Qs[2, 0], 1.3, x[2, 1], y[2, 1])
+    assert (_bits(post.mean), _bits(post.cov)) == kept
+    first = kalman_run_grid(x, y, K, Qs, 1.0, init, keep_state=True)
+    kept = [_bits(block) for block in first]
+    second = kalman_run_grid(x, y, K, Qs, 1.0, init, keep_state=True)
+    lean = kalman_run_grid(x, y, K, Qs, 1.0, init, keep_state=False)
+    assert [_bits(block) for block in first] == kept == [_bits(block) for block in second]
+    assert [_bits(block) for block in lean[:2]] == kept[:2] and lean[2:] == (None, None)
 
 
 def test_rank_one_update_returns_the_innovation_variance():
@@ -406,6 +446,12 @@ def test_grid_rejects_a_bad_init_before_the_first_step(case, monkeypatch):
     monkeypatch.setattr(viking.kalman, "_predict_update", _no_steps)
     with pytest.raises(ValueError, match="^init: "):
         kalman_run_grid(x, y, K, Qs, 1.0, _bad_inits(4)[case], keep_state=False)
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inits(4)))
+def test_step_rejects_a_bad_state(case):
+    with pytest.raises(ValueError, match="^state: "):
+        kalman_step(_bad_inits(4)[case], np.eye(4), 0.1 * np.eye(4), 1.0, np.ones(4), 0.5)
 
 
 def test_run_rejects_the_bad_inits_that_gave_nan_and_negative_forecasts():
