@@ -42,6 +42,7 @@ WS_Q_MASK = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
 MS_CONTRACTION = 0.9
 DEFAULT_WALK_VAR = 1e-3
 RESONATOR_Q_DIAG = (0.01, 0.0, 0.0001)
+RESONATOR_OMEGA, RESONATOR_DT = 0.05, 0.1  # the resonator's frequency and time step
 
 
 class DesignKind(Enum):
@@ -195,12 +196,12 @@ def gen_misspecified(design: np.ndarray, seed: int, sigma2_override=None, q_diag
                    Truth(sigma2, q_diag, theta, mix))
 
 
-def resonator_transition(omega: float = 0.05, dt: float = 0.1) -> np.ndarray:
-    c, s = math.cos(omega * dt), math.sin(omega * dt)
+def resonator_transition() -> np.ndarray:
+    c, s = math.cos(RESONATOR_OMEGA * RESONATOR_DT), math.sin(RESONATOR_OMEGA * RESONATOR_DT)
     return np.array([
         [1.0, 0.0, 0.0],
-        [0.0, c, s / omega],
-        [0.0, -omega * s, c],
+        [0.0, c, s / RESONATOR_OMEGA],
+        [0.0, -RESONATOR_OMEGA * s, c],
     ])
 
 

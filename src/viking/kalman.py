@@ -32,16 +32,6 @@ that ``sym`` from its second step on, and at its first when ``init.cov``
 equals its transpose exactly (no tolerance). :func:`kalman_step` always
 symmetrises, and so does a product ``K @ P @ K.T``, whose two triangles
 round differently.
-
-A grid run allocates its prior, posterior and scratch arrays once and steps
-in them through numpy's ``out=`` (:class:`_Buffers`); the prediction and the
-innovation variance go straight into the rows of the output blocks, and with
-``keep_state`` so does the posterior. Without buffers numpy allocates each
-result, with the same arithmetic. Each buffer must be C-contiguous, as a
-fresh result is (``np.empty``, then filled): matmul picks its BLAS call by
-the strides, so a buffer with other strides, such as the broadcast ones
-``np.array(np.broadcast_to(...))`` keeps, can change the last bit of
-``P @ x``.
 """
 
 from __future__ import annotations
@@ -54,6 +44,7 @@ from .linalg import sym
 from .records import Trace, split_traces
 
 P0 = 1.0  # initial state covariance scale, P0 * I, for every filter
+SYM_RTOL, EIG_RTOL = 1e-12, 1e-10  # GaussianState.validate's tolerances, relative to each matrix's scale
 
 
 @dataclass
@@ -63,15 +54,15 @@ class GaussianState:
     mean: np.ndarray
     cov: np.ndarray
 
-    def validate(self, sym_rtol: float = 1e-12, eig_rtol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Each covariance, of one state or a stack, is symmetric and PSD
         within tolerances relative to its own scale."""
         cov = self.cov
         scale = np.maximum(np.abs(cov).max(axis=(-2, -1)), 1e-300)
-        if np.any(np.abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1)) > sym_rtol * scale):
+        if np.any(np.abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1)) > SYM_RTOL * scale):
             raise ValueError("covariance is not symmetric within tolerance")
         trace = np.trace(cov, axis1=-2, axis2=-1)
-        if np.any(np.linalg.eigvalsh(sym(cov)).min(axis=-1) < -eig_rtol * np.maximum(trace, 1e-300)):
+        if np.any(np.linalg.eigvalsh(sym(cov)).min(axis=-1) < -EIG_RTOL * np.maximum(trace, 1e-300)):
             raise ValueError("covariance has a significantly negative eigenvalue")
 
 
@@ -80,66 +71,35 @@ def quad_form(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x @ m @ x if x.ndim == 1 else (x[..., None, :] @ m @ x[..., :, None])[..., 0, 0]
 
 
-def _matvec(m: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``m @ v`` for each matrix and vector of two stacks (the same bits as one
-    by one); into ``out`` when it is given, for stacks only."""
-    if out is None:  # the operator: ``np.matmul`` as a call costs about 0.3 µs more
-        return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
-    return np.matmul(m, v[..., None], out[..., None])[..., 0]
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for each matrix and vector of two stacks (the same bits as one by one)."""
+    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
 
 
-def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``u @ v`` for each pair of vectors of two stacks (the same bits as one
-    by one); into ``out`` when it is given, for stacks only."""
-    if out is None:
-        return u @ v if u.ndim == 1 else (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-    return np.matmul(u[..., None, :], v[..., :, None], out[..., None, None])[..., 0, 0]
-
-
-@dataclass(slots=True)
-class _Buffers:
-    """Where a predict/update cycle writes its arrays; a ``None`` field lets
-    numpy allocate the result. :func:`kalman_run_grid` fills every field once
-    per run with C-contiguous arrays, and points ``prediction`` and
-    ``pred_var`` (and, with ``keep_state``, the posterior) at each step's
-    rows of its output blocks (see the module docstring). The fields go to
-    numpy's ``out`` positionally: the keyword costs about 0.3 µs a call."""
-
-    prior_mean: np.ndarray | None = None
-    prior_cov: np.ndarray | None = None
-    scratch: np.ndarray | None = None  # a second matrix per filter
-    vec: np.ndarray | None = None      # ``P x``, then the posterior covariance's
-    gain: np.ndarray | None = None
-    post_mean: np.ndarray | None = None
-    post_cov: np.ndarray | None = None
-    prediction: np.ndarray | None = None
-    pred_var: np.ndarray | None = None
-
-
-_ALLOCATE = _Buffers()  # every result a new array; never written to
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u @ v`` for each pair of vectors of two stacks (the same bits as one by one)."""
+    return u @ v if u.ndim == 1 else (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def rank_one_update(prior_mean: np.ndarray, prior_cov: np.ndarray, sigma_eff,
-                    x: np.ndarray, y, prediction, out: _Buffers = _ALLOCATE) -> tuple[GaussianState, np.ndarray]:
+                    x: np.ndarray, y, prediction) -> tuple[GaussianState, np.ndarray]:
     """Posterior from one scalar observation ``y = x.theta + noise(sigma_eff)``,
     given its prediction ``x·prior_mean`` (``_dot(x, prior_mean)``), and the
     innovation variance ``x·(P x) + sigma_eff`` that divides the gain.
 
     Every argument may carry the same leading (filter) axes; each filter's
-    arithmetic is the same as when it is passed alone. ``out`` is a grid
-    run's buffers, which the posterior, the innovation variance and the
-    scratch are written into; by default every result is a new array, the
-    same bits.
+    arithmetic is the same as when it is passed alone. No argument is
+    written to: the in-place steps work on arrays made here.
     """
-    cx = _matvec(prior_cov, x, out.vec)
-    denom = _dot(x, cx, out.pred_var)
-    denom += sigma_eff  # in place, so into the buffer; a lone filter's scalar is rebound
-    gain = np.divide(cx, denom[..., None], out.gain)
-    outer = np.multiply(cx[..., :, None], gain[..., None, :], out.scratch)
-    post_cov = sym(np.subtract(prior_cov, outer, out.scratch), out.post_cov)
-    resid = y - prediction
-    step = np.multiply(_matvec(post_cov, x, out.vec), (resid / sigma_eff)[..., None], out.vec)
-    return GaussianState(np.add(prior_mean, step, out.post_mean), post_cov), denom
+    cx = _matvec(prior_cov, x)
+    denom = _dot(x, cx)
+    denom += sigma_eff  # a lone filter's scalar is rebound
+    outer = cx[..., :, None] * (cx / denom[..., None])[..., None, :]
+    post_cov = sym(np.subtract(prior_cov, outer, outer))
+    step = _matvec(post_cov, x)
+    step *= ((y - prediction) / sigma_eff)[..., None]
+    step += prior_mean
+    return GaussianState(step, post_cov), denom
 
 
 def _check_psd(Q: np.ndarray) -> None:
@@ -196,34 +156,36 @@ def transition_scale(K: np.ndarray) -> np.ndarray | float:
     return c if np.isfinite(c) and np.array_equal(K, c * np.eye(len(K))) else K
 
 
-def _propagate(state: GaussianState, K: np.ndarray | float, Q: np.ndarray, symmetric: bool = False,
-               out: _Buffers = _ALLOCATE) -> tuple[np.ndarray, np.ndarray]:
+def _propagate(state: GaussianState, K: np.ndarray | float, Q: np.ndarray,
+               symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Prior mean and covariance, ``K @ mean`` and ``sym(K @ cov @ K.T) + Q``;
     a float ``K`` is the scale ``c`` of a transition ``c·I``, applied by
     scaling with the same bits, and without ``sym`` when ``symmetric`` says
-    ``state.cov`` is exactly symmetric (see the module docstring). ``out`` is
-    as :func:`rank_one_update` takes it."""
+    ``state.cov`` is exactly symmetric (see the module docstring). ``state``
+    is not written to."""
     if isinstance(K, float):
-        mean = np.add(np.multiply(K, state.mean, out.prior_mean), 0.0, out.prior_mean)
-        cov = np.add(np.multiply(np.multiply(K, state.cov, out.prior_cov), K, out.prior_cov), 0.0, out.prior_cov)
+        mean = K * state.mean
+        mean += 0.0
+        cov = K * state.cov
+        cov *= K
+        cov += 0.0
     else:
-        mean = _matvec(K, state.mean, out.prior_mean)
-        cov = np.matmul(np.matmul(K, state.cov, out.scratch), K.T, out.prior_cov)
+        mean = _matvec(K, state.mean)
+        cov = K @ state.cov @ K.T
         symmetric = False  # rounding makes the product's two triangles differ
     if not symmetric:
-        cov = sym(cov, out.scratch)
-    return mean, np.add(cov, Q, out.prior_cov)
+        cov = sym(cov)
+    cov += Q
+    return mean, cov
 
 
 def _predict_update(state: GaussianState, K: np.ndarray | float, Q: np.ndarray, sigma2,
-                    x: np.ndarray, y, symmetric: bool = False,
-                    out: _Buffers = _ALLOCATE) -> tuple[GaussianState, np.ndarray, np.ndarray]:
+                    x: np.ndarray, y, symmetric: bool = False) -> tuple[GaussianState, np.ndarray, np.ndarray]:
     """One unchecked predict/update cycle; arguments may carry leading filter
-    axes, and ``K``, ``symmetric`` and ``out`` are as :func:`_propagate`
-    takes them."""
-    prior_mean, prior_cov = _propagate(state, K, Q, symmetric, out)
-    prediction = _dot(x, prior_mean, out.prediction)
-    post, pred_var = rank_one_update(prior_mean, prior_cov, sigma2, x, y, prediction, out)
+    axes, and ``K`` and ``symmetric`` are as :func:`_propagate` takes them."""
+    prior_mean, prior_cov = _propagate(state, K, Q, symmetric)
+    prediction = _dot(x, prior_mean)
+    post, pred_var = rank_one_update(prior_mean, prior_cov, sigma2, x, y, prediction)
     return post, prediction, pred_var
 
 
@@ -259,10 +221,9 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     naming ``init``. Returns the ``(n, G, B)`` forecast and forecast-variance
     blocks, then ``theta`` ``(n, G, B, d)`` and ``cov`` ``(n, G, B, d, d)``
     with ``keep_state`` (else ``None``). Each filter's outputs are the ones
-    it gets alone, bit for bit: the steps run in per-run buffers, and skip
-    the prior's ``sym`` wherever it is a no-op, from the second step on and
-    at the first when ``init.cov`` equals its transpose exactly (see the
-    module docstring).
+    it gets alone, bit for bit; the steps skip the prior's ``sym`` wherever
+    it is a no-op, from the second step on and at the first when ``init.cov``
+    equals its transpose exactly (see the module docstring).
     """
     n, B, d = x.shape
     if K.shape != (d, d):
@@ -280,15 +241,11 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     state = GaussianState(np.broadcast_to(init.mean, (G, B, d)), np.broadcast_to(init.cov, (G, B, d, d)))
     forecast, forecast_var = np.empty((n, G, B)), np.empty((n, G, B))
     theta, cov = (np.empty((n, G, B, d)), np.empty((n, G, B, d, d))) if keep_state else (None, None)
-    vec, mat = (G, B, d), (G, B, d, d)
-    out = _Buffers(np.empty(vec), np.empty(mat), np.empty(mat), np.empty(vec), np.empty(vec),
-                   np.empty(vec), np.empty(mat))
     for t in range(n):
-        out.prediction, out.pred_var = forecast[t], forecast_var[t]
+        state, forecast[t], forecast_var[t] = _predict_update(
+            state, K, Q if Q.ndim == 4 else Q[t], sigma2[t], x[t], y[t], symmetric or t > 0)
         if keep_state:
-            out.post_mean, out.post_cov = theta[t], cov[t]
-        state = _predict_update(state, K, Q if Q.ndim == 4 else Q[t], sigma2[t], x[t], y[t],
-                                symmetric or t > 0, out)[0]
+            theta[t], cov[t] = state.mean, state.cov
     return forecast, forecast_var, theta, cov
 
 

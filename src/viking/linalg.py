@@ -20,33 +20,19 @@ then raises :class:`SingularMatrixError`.
 
 The LAPACK routines are scipy's ``dpotrf`` and ``dtrtri`` (and ``dpotrs``
 for :func:`viking.transforms.psi_value`), bound the first time something is
-factored, not when the module is imported. Most runs never need them: the
-Kalman baselines, the data generators, the CSV codec and the command line's
-argument handling factor no matrix, so they start in numpy's time and load
-no scipy module. On a 2-core x86-64 box (Python 3.11, numpy 2.4, scipy 1.17,
-cached byte code), a fresh ``import viking`` took 0.54 s with scipy loaded
-at import and takes 0.20 s without it (numpy alone: 0.16-0.18 s), and its
-peak RSS fell from 57 to 29 MiB.
-
-Binding imports the top-level ``scipy`` package (its own init: version
-checks, ``_distributor_init``) and then loads the f2py extension
+factored, not when the module is imported, so the runs that factor no matrix
+(the Kalman baselines, the data generators, the CSV codec and the command
+line's argument handling) load no scipy module. Binding imports the
+top-level ``scipy`` package and loads the f2py extension
 ``scipy/linalg/_flapack`` by file, registered in ``sys.modules`` under its
-own name, or reuses it when something has imported it already. It does not
-import the ``scipy.linalg`` package, whose init loads
-``scipy._lib._array_api`` and through it ``numpy.f2py`` and
-``numpy.testing``, none of which the filter uses; the extension itself
-loads in about 5 ms. On the same box, in processes that byte-compile numpy
-and scipy afresh (``PYTHONDONTWRITEBYTECODE=1`` with a fresh
-``sys.pycache_prefix``), a VIKING run's start-up fell from 1.54 to 0.66 s
-(medians of ten alternating pairs; ranges 1.28-2.09 and 0.53-0.78 s) and
-its peak RSS from 68 to 48 MiB; with cached byte code, a two-seed VIKING
-experiment (n 200) went from 0.46 to 0.35 s. A later ``import
-scipy.linalg`` adopts the registered module (scipy reaches it only by
-``from`` imports, which find it in ``sys.modules``), so
-``scipy.linalg.lapack.dpotrf`` is the very routine bound here: the filter
-calls the same compiled routines as through the package, with the same
-bits. A missing extension raises ``ImportError`` naming the directory
-searched.
+own name (or reuses it when something has imported it already). It does not
+import the ``scipy.linalg`` package, whose init loads ``numpy.f2py`` and
+``numpy.testing`` (through ``scipy._lib._array_api``), none of which the
+filter uses. A later ``import scipy.linalg`` adopts the registered module
+(scipy reaches it only by ``from`` imports), so ``scipy.linalg.lapack.dpotrf``
+is the very routine bound here, with the same bits. A missing extension
+raises ``ImportError`` naming the directory searched.
+
 numpy's own ``linalg`` is no substitute on the filter's path: it is slower
 per small matrix and bundles another OpenBLAS, whose ``potrf`` gives other
 bits on some matrices. The names stay module attributes (a module
@@ -120,10 +106,12 @@ def reset_spd_inversion_count() -> None:
     _inversions = 0
 
 
-def sym(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric part of a square matrix, or of each in a stack; written into
-    ``out`` (not ``m``) when it is given."""
-    return np.multiply(0.5, np.add(m, m.swapaxes(-1, -2), out), out)
+def sym(m: np.ndarray) -> np.ndarray:
+    """Symmetric part of a square matrix, or of each in a stack, as a new
+    float array (an integer matrix is summed as floats)."""
+    s = np.add(m, m.swapaxes(-1, -2), dtype=float)
+    s *= 0.5
+    return s
 
 
 def _jittered_factor(m: np.ndarray):

@@ -498,9 +498,22 @@ def state_to_checkpoint(st: VikingState) -> dict:
     }
 
 
+# a checkpoint's integer fields, each with its width in bits
+_CHECKPOINT_INTS = {"step_index": 63, "rng_state": 128, "rng_inc": 128, "rng_has_uint32": 1, "rng_uinteger": 32}
+
+
 def state_from_checkpoint(rec: dict) -> VikingState:
-    """The state :func:`state_to_checkpoint` recorded. A non-finite value or a
-    size that does not fit the others raises ``ValueError`` naming its field."""
+    """The state :func:`state_to_checkpoint` recorded. A missing field, a
+    non-finite value, a size that does not fit the others, or an integer
+    field that is not an int in ``[0, 2**width)`` raises ``ValueError``
+    naming its field."""
+    for name in ("mean", "cov", "a_hat", "s", "b_hat", "Sigma", *_CHECKPOINT_INTS):
+        if name not in rec:
+            raise ValueError(f"checkpoint field {name!r} is missing")
+    for name, bits in _CHECKPOINT_INTS.items():
+        v = rec[name]
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < 2**bits:
+            raise ValueError(f"checkpoint field {name!r} must be an integer in [0, 2**{bits}), got {v!r}")
     d = len(rec["mean"])
     m = len(rec["b_hat"])
     arrays = {}
@@ -523,6 +536,6 @@ def state_from_checkpoint(rec: dict) -> VikingState:
         GaussianState(arrays["mean"], arrays["cov"].reshape(d, d)),
         VarianceBeliefs(float(arrays["a_hat"]), float(arrays["s"]), arrays["b_hat"],
                         arrays["Sigma"].reshape(m, m)),
-        rec["step_index"],
+        int(rec["step_index"]),
         np.random.Generator(bg),
     )

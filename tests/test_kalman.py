@@ -247,6 +247,17 @@ def test_step_rejects_non_finite_input():
             kalman_step(state, np.eye(2), 0.1 * np.eye(2), 1.0, x, y)
 
 
+def test_step_takes_integer_matrices_as_their_float_values():
+    # sym() sums an integer matrix as floats, so the checks and the step
+    # accept integer input as they accept its float copy
+    eye = np.eye(3, dtype=int)
+    want = kalman_step(GaussianState(np.zeros(3), np.eye(3)), np.eye(3), np.eye(3), 1.0, np.ones(3), 0.5)
+    got = kalman_step(GaussianState(np.zeros(3, dtype=int), eye), eye, eye, 1, np.ones(3, dtype=int), 0.5)
+    assert _bits(got[0].mean) == _bits(want[0].mean) and _bits(got[0].cov) == _bits(want[0].cov)
+    assert got[1:] == want[1:]
+    GaussianState(np.zeros(3), eye).validate()
+
+
 def test_grid_names_the_first_non_finite_step_and_series_before_the_first_step(monkeypatch):
     x, y, K, Qs, init = _grid_inputs()
     x[7, 0, 2] = np.nan
@@ -386,6 +397,49 @@ def test_rank_one_update_returns_the_innovation_variance():
     post, denom = rank_one_update(mean, P, 0.7, x, 1.1, x @ mean)
     assert _bits(denom) == _bits(_innovation_var(P, x, 0.7))
     post.validate()
+
+
+def _assert_writes_into_no_input(results, inputs):
+    inputs = [a for a in inputs if isinstance(a, np.ndarray)]
+    before = [_bits(a) for a in inputs]
+    results = results()
+    assert [_bits(a) for a in inputs] == before
+    assert not any(np.shares_memory(r, a) for r in results for a in inputs)
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+def test_update_and_propagate_write_into_no_input(stack):
+    # the steps work in place on their own temporaries; VIKING passes the same
+    # prior_mean and KPK to each of its n_iter passes, so a write into an input
+    # would change the next pass
+    from viking.datagen import resonator_transition
+    from viking.kalman import _dot, _propagate, rank_one_update, transition_scale
+
+    rng = np.random.default_rng(25)
+    d, G, B = 3, 2, 3
+    mean = rng.standard_normal((G, B, d))
+    P = np.reshape([rand_spd(rng, d) for _ in range(G * B)], (G, B, d, d))
+    Q = np.reshape([rand_spd(rng, d, ridge=0.1) for _ in range(G)], (G, 1, d, d))
+    x = rng.standard_normal((B, d))
+    sigma, y = rng.uniform(0.5, 2.0, B), rng.standard_normal(B)
+    if not stack:
+        mean, P, Q, x, sigma, y = mean[0, 0], P[0, 0], Q[0, 0], x[0], float(sigma[0]), float(y[0])
+
+    # rank_one_update on one filter or a (B,) stack
+    prior_mean, prior_cov = (mean[0], P[0]) if stack else (mean, P)
+    prediction = _dot(x, prior_mean)
+
+    def update():
+        post, denom = rank_one_update(prior_mean, prior_cov, sigma, x, y, prediction)
+        return post.mean, post.cov, denom
+
+    _assert_writes_into_no_input(update, [prior_mean, prior_cov, sigma, x, y, prediction])
+    # _propagate on one filter or a (G, B) stack with a (G, 1, d, d) Q
+    state = GaussianState(mean, P)
+    for K in (0.9 * np.eye(d), resonator_transition()):
+        for symmetric in (False, True):
+            _assert_writes_into_no_input(lambda: _propagate(state, transition_scale(K), Q, symmetric),
+                                         [mean, P, K, Q])
 
 
 # --------------------------------------------------- validation of stacks and sigma2

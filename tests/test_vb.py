@@ -518,6 +518,16 @@ def test_checkpoint_roundtrip_continues_identically():
     ("Sigma", [0.1], "'Sigma' has shape"),
     ("mean", [], "'mean' has shape"),
     ("s", [0.1], "'s' has shape"),
+    ("step_index", -3, "'step_index' must be an integer in"),
+    ("step_index", 1.5, "'step_index' must be an integer in"),
+    ("step_index", "7", "'step_index' must be an integer in"),
+    ("step_index", True, "'step_index' must be an integer in"),
+    ("step_index", 2**63, "'step_index' must be an integer in"),
+    ("rng_state", -1, "'rng_state' must be an integer in"),
+    ("rng_state", 2**128, "'rng_state' must be an integer in"),
+    ("rng_inc", 2.5, "'rng_inc' must be an integer in"),
+    ("rng_has_uint32", 7, "'rng_has_uint32' must be an integer in"),
+    ("rng_uinteger", 2**32, "'rng_uinteger' must be an integer in"),
 ])
 def test_checkpoint_rejects_non_finite_or_misfit_fields(field, value, match):
     rec = state_to_checkpoint(default_initial_state(vk.NoiseTransform.diagonal(2), seed=3))
@@ -525,6 +535,13 @@ def test_checkpoint_rejects_non_finite_or_misfit_fields(field, value, match):
     rec[field] = value
     with pytest.raises(ValueError, match=match):
         state_from_checkpoint(rec)
+
+
+def test_checkpoint_rejects_a_missing_field():
+    rec = state_to_checkpoint(default_initial_state(vk.NoiseTransform.diagonal(2), seed=3))
+    for field in rec:
+        with pytest.raises(ValueError, match=f"'{field}' is missing"):
+            state_from_checkpoint({k: v for k, v in rec.items() if k != field})
 
 
 def test_update_s_lowers_the_exact_objective():
