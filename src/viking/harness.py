@@ -25,10 +25,11 @@ kernels (OpenBLAS picks one per CPU, or ``OPENBLAS_CORETYPE`` names it) they
 are not: BLAS products and LAPACK factors round differently per kernel, so
 the bytes differ in the last digits.
 
-Every configured float is checked once, when :class:`ExperimentConfig` is
+Every configured number is checked once, when :class:`ExperimentConfig` is
 built: a random-walk variance, a ``q_grid`` entry or an initial ``p0`` that
-is negative or not finite, or a ``sigma2_const`` that is not finite and > 0,
-raises ``ValueError`` naming its key.
+is negative or not finite, a ``sigma2_const`` that is not finite and > 0, or
+an ``n`` (>= 2), seed (>= 0), ``n_mc`` or ``n_iter`` (>= 1) that is a bool,
+not an integer or out of range, raises ``ValueError`` naming its key.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .kalman import P0, GaussianState, kalman_run_grid, kalman_traces
 from .linalg import SingularMatrixError
 from .records import StepRecord, Trace, fmt, write_lines, write_table, write_trace_csv
 from .transforms import NoiseTransform, TransformKind as Setting  # Setting: the noise shape VIKING learns
-from .vb import VikingHyper, _check_nonnegative, default_initial_state, viking_run_batch
+from .vb import VikingHyper, _check_count, _check_nonnegative, default_initial_state, viking_run_batch
 
 DEFAULT_RHO_GRID = DEFAULT_Q_GRID = tuple(math.exp(-i) for i in range(1, 11))
 
@@ -117,10 +118,13 @@ class ExperimentConfig:
     walk_var: float = DEFAULT_WALK_VAR
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need n >= 2 (the second-half metric needs at least one point)")
+        _check_count("n", self.n, 2)  # the second-half metric needs at least one point
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            _check_count("seeds", seed, 0)
+        _check_count("n_mc", self.n_mc, 1)
+        _check_count("n_iter", self.n_iter, 1)
         if not self.q_grid or () in (self.q_shapes, self.rho_a, self.rho_b):
             raise ValueError("grids must be non-empty")
         for key in ("rho_a", "rho_b", "q_grid"):

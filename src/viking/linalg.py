@@ -143,21 +143,23 @@ def spd_inv(m: np.ndarray) -> np.ndarray:
     global _inversions
     potrf, trtri = _module.dpotrf, _module.dtrtri
     d = m.shape[-1]
-    stack = m.reshape(-1, d, d)
+    flat = m.ndim == 3  # a 3-D stack needs neither reshape
+    stack = m if flat else m.reshape(-1, d, d)
     out = stack.astype(float, order="C")
     # column-major views, which LAPACK factors and inverts in place (f2py
     # copies nothing); positional flags keep the loop tight
     cols = out.swapaxes(-1, -2)
-    for i in range(len(out)):
-        if potrf(cols[i], 1, 1, 1)[1]:  # lower, clean, overwrite_a
+    for i, c in enumerate(cols):
+        if potrf(c, 1, 1, 1)[1]:  # lower, clean, overwrite_a
             try:
-                cols[i] = _jittered_factor(stack[i].T)
+                c[...] = _jittered_factor(stack[i].T)
             except SingularMatrixError as exc:
                 exc.index = np.unravel_index(i, m.shape[:-2]) if m.ndim > 2 else None
                 raise
-        trtri(cols[i], 1, 0, 1)  # lower, unitdiag, overwrite_c: cannot fail after potrf
+        trtri(c, 1, 0, 1)  # lower, unitdiag, overwrite_c: cannot fail after potrf
     _inversions += len(out)
     # read in C order, out holds each L^-T; cols holds each L^-1. cols must
     # stay a view of out: numpy then runs syrk on A @ A^T and mirrors the
     # triangle, which makes the product exactly symmetric without sym
-    return (out @ cols).reshape(m.shape)
+    inv = out @ cols
+    return inv if flat else inv.reshape(m.shape)

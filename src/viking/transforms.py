@@ -193,8 +193,8 @@ def _derivatives(transform: NoiseTransform, B: np.ndarray, C: np.ndarray, d1: np
     """
     C_inv = spd_inv(C)
     MBM = C_inv @ B @ C_inv
-    mbm_diag = np.diagonal(MBM, axis1=-2, axis2=-1)
-    grad = _fold(transform, (np.diagonal(C_inv, axis1=-2, axis2=-1) - mbm_diag) * d1, 1)
+    mbm_diag = MBM.diagonal(0, -2, -1)
+    grad = _fold(transform, (C_inv.diagonal(0, -2, -1) - mbm_diag) * d1, 1)
     if d1_outer is None:
         return grad, None
     H = 2.0 * MBM * C_inv * d1_outer

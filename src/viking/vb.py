@@ -19,15 +19,21 @@ posterior, alternating ``n_iter`` coordinate passes:
    PSD curvature matrix of the log-det objective, expanded at the previous
    step's latent, followed by a nonnegativity clamp.
 
-What is the same in every pass is formed once per step: the zero test of
-the latent prior ``Sigma_prev + rho_b I`` (a zero prior means ``b`` is
-known, and step 5 is skipped), and the terms of the ``b`` bound that depend
-only on its expansion point (:func:`~viking.transforms.expansion_point`).
-Each pass redoes steps 1-5, because each depends on the previous pass's
-state moments or latents. Two inverses in step 5 are also the same in every
-pass, ``(KPK + f(b_prev))^-1`` in the bound and the prior's inverse in
-:func:`update_b`; they stay per pass because the inversion budget,
-``n_iter·(n_mc + 4)`` per step (acceptance check c07), counts them there.
+What is the same in every pass is formed once per step: the latent prior
+``Sigma_prev + rho_b I`` (:meth:`VarianceBeliefs.latent_prior`), handed to
+step 5; its zero test, which makes step 1's sampling choice (a zero prior
+means ``b`` is known: step 1 takes no draw, and step 5 is skipped); and the
+terms of the ``b`` bound that depend only on its expansion point
+(:func:`~viking.transforms.expansion_point`). The sampling choice holds for
+every pass, since step 5's covariance is an SPD inverse, nonzero exactly
+when the prior is. The public :func:`estimate_precision` and
+:func:`update_b` form these from their arguments, then run the same
+per-pass cores as the step. Each pass redoes steps 1-5, because each
+depends on the previous pass's state moments or latents. Two inverses in
+step 5 are also the same in every pass, ``(KPK + f(b_prev))^-1`` in the
+bound and the prior's inverse in :func:`update_b`; they stay per pass
+because the inversion budget, ``n_iter·(n_mc + 4)`` per step (acceptance
+check c07), counts them there.
 
 Defaults follow ``rho_a = e^-9``, ``rho_b = e^-6``, ``n_mc = 10``, two
 passes. With the learning flags off and degenerate beliefs the step reduces
@@ -75,6 +81,13 @@ def _check_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} = {value} must be finite and >= 0")
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """``value`` is an integer >= ``low`` (a numpy integer passes, a bool
+    does not); else ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} = {value} must be an integer >= {low}")
+
+
 @dataclass
 class VikingHyper:
     """Time-invariant filter parameters."""
@@ -94,8 +107,8 @@ class VikingHyper:
         if self.K.shape != (d, d):
             raise ValueError(f"transition matrix has shape {self.K.shape}, "
                              f"expected ({d}, {d}) for the {d}-dimensional state")
-        if self.n_mc < 1 or self.n_iter < 1:
-            raise ValueError("n_mc and n_iter must be >= 1")
+        _check_count("n_mc", self.n_mc, 1)
+        _check_count("n_iter", self.n_iter, 1)
         for name in ("rho_a", "rho_b"):
             _check_nonnegative(name, getattr(self, name))
 
@@ -207,6 +220,15 @@ def sample_noise_latents(b_hat: np.ndarray, Sigma: np.ndarray, n_mc: int,
     return b_hat[:, None] + z @ _psd_sqrt(Sigma).swapaxes(-1, -2)
 
 
+def _sampled(Sigma: np.ndarray) -> bool:
+    """Whether :func:`estimate_precision` samples: ``Sigma`` is nonzero. A
+    batch mixing zero and nonzero covariances raises ``ValueError``."""
+    nonzero = Sigma.any(axis=(-2, -1))
+    if nonzero.any() != nonzero.all():
+        raise ValueError("a batch mixes zero and nonzero latent covariances")
+    return bool(nonzero.any())
+
+
 def estimate_precision(b_hat: np.ndarray, Sigma: np.ndarray, KPK: np.ndarray,
                        transform: NoiseTransform, n_mc: int,
                        rng: np.random.Generator | list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
@@ -224,13 +246,15 @@ def estimate_precision(b_hat: np.ndarray, Sigma: np.ndarray, KPK: np.ndarray,
     every ``Sigma`` zero or none, else ``ValueError``. The harness's batches
     (a grid point's seeds) never mix them: they share ``rho_b`` and ``sigma0``.
     """
-    d = transform.dim
-    nonzero = Sigma.any(axis=(-2, -1))
-    if nonzero.any() != nonzero.all():
-        raise ValueError("a batch mixes zero and nonzero latent covariances")
-    if not nonzero.any():
+    return _precision(b_hat, Sigma, KPK, transform, n_mc, rng, _sampled(Sigma))
+
+
+def _precision(b_hat, Sigma, KPK, transform, n_mc, rng, sampled: bool):
+    """:func:`estimate_precision` with its sampling choice made."""
+    if not sampled:
         C = KPK + apply_f(transform, b_hat)
         return spd_inv(C), C.copy()
+    d = transform.dim
     draws = sample_noise_latents(b_hat, Sigma, n_mc, rng)
     Cs = np.empty(draws.shape[:-1] + (d, d))
     Cs[:] = KPK[..., None, :, :]
@@ -310,8 +334,12 @@ def update_b(b_prev: np.ndarray, Sigma_prev: np.ndarray, grad: np.ndarray, H: np
     prior = Sigma_prev + rho_b * np.eye(m)
     if not prior.any():
         return b_prev.copy(), Sigma_prev.copy()
-    prior_prec = spd_inv(prior)
-    Sigma_new = spd_inv(prior_prec + 0.5 * H)
+    return _update_b(b_prev, prior, grad, H, floor)
+
+
+def _update_b(b_prev, prior, grad, H, floor):
+    """:func:`update_b` from its nonzero latent prior ``Sigma_prev + rho_b I``."""
+    Sigma_new = spd_inv(spd_inv(prior) + 0.5 * H)
     b_new = np.maximum(b_prev - 0.5 * _matvec(Sigma_new, grad), floor)
     return b_new, Sigma_new
 
@@ -384,21 +412,24 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
     fc_mean, fc_var = _predictive(x, prior_mean, prop, bel)
 
     a_prev, s_prev = bel.a_hat, bel.s
-    b_prev, Sigma_prev = bel.b_hat, bel.Sigma
+    b_prev = bel.b_hat
     s_prior = s_prev + hyper.rho_a
     m_a = np.maximum(3.0 * s_prev, M_A_FLOOR)
 
     a_cur, s_cur = a_prev, s_prior
     b_cur = b_prev.copy()
     # Once per step, not per pass (see the module docstring): the latent
-    # prior's zero test (zero: b is known, no b bound) and the bound's terms
-    # at b_prev. C = prop and the prior are inverted per pass, as c07 counts.
-    Sigma_cur, learn_b = bel.latent_prior(hyper.rho_b, hyper.learn_b)
+    # prior, its zero test (zero: b is known, no draw and no b bound) and the
+    # bound's terms at b_prev. C = prop and the prior are inverted per pass,
+    # as c07 counts.
+    prior, learn_b = bel.latent_prior(hyper.rho_b, hyper.learn_b)
+    sampled = _sampled(prior)
     point = expansion_point(transform, b_prev) if learn_b else None
 
+    Sigma_cur = prior
     state_new = st.state
     for _ in range(hyper.n_iter):
-        _, A_inv = estimate_precision(b_cur, Sigma_cur, KPK, transform, hyper.n_mc, st.rng)
+        _, A_inv = _precision(b_cur, Sigma_cur, KPK, transform, hyper.n_mc, st.rng, sampled)
         state_new = update_state_moments(A_inv, a_cur, s_cur, prior_mean, x, y)
         if hyper.learn_a:
             resid = y - _dot(state_new.mean, x)
@@ -409,13 +440,13 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
             delta = state_new.mean - prior_mean
             B = state_new.cov + delta[..., :, None] * delta[..., None, :]
             grad, H = psi_gradient_hessian_bound(transform, point, B, prop)
-            b_cur, Sigma_cur = update_b(b_prev, Sigma_prev, grad, H, hyper.rho_b, floor=B_HAT_FLOOR)
+            b_cur, Sigma_cur = _update_b(b_prev, prior, grad, H, B_HAT_FLOOR)
 
     beliefs = VarianceBeliefs(a_cur, s_cur, b_cur, Sigma_cur)
     record = StepRecord(
         t=st.step_index, y=y, forecast=fc_mean, forecast_var=fc_var, residual=y - fc_mean,
         a_hat=a_cur, s=s_cur, sigma2_eff=_exp(a_cur - 0.5 * s_cur),
-        b_hat=b_cur.copy(), sigma_diag=np.diagonal(Sigma_cur, axis1=-2, axis2=-1).copy(),
+        b_hat=b_cur.copy(), sigma_diag=Sigma_cur.diagonal(0, -2, -1).copy(),
         cum_sq_err=float("nan"), theta=state_new.mean.copy(), cov=state_new.cov.copy(),
     )
     return VikingState(state_new, beliefs, st.step_index + 1, st.rng), record
@@ -503,10 +534,10 @@ _CHECKPOINT_INTS = {"step_index": 63, "rng_state": 128, "rng_inc": 128, "rng_has
 
 
 def state_from_checkpoint(rec: dict) -> VikingState:
-    """The state :func:`state_to_checkpoint` recorded. A missing field, a
-    non-finite value, a size that does not fit the others, or an integer
-    field that is not an int in ``[0, 2**width)`` raises ``ValueError``
-    naming its field."""
+    """The state :func:`state_to_checkpoint` recorded. A missing field, an
+    array field that is not a number or a flat list of numbers, a non-finite
+    value, a size that does not fit the others, or an integer field that is
+    not an int in ``[0, 2**width)`` raises ``ValueError`` naming its field."""
     for name in ("mean", "cov", "a_hat", "s", "b_hat", "Sigma", *_CHECKPOINT_INTS):
         if name not in rec:
             raise ValueError(f"checkpoint field {name!r} is missing")
@@ -514,17 +545,21 @@ def state_from_checkpoint(rec: dict) -> VikingState:
         v = rec[name]
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < 2**bits:
             raise ValueError(f"checkpoint field {name!r} must be an integer in [0, 2**{bits}), got {v!r}")
-    d = len(rec["mean"])
-    m = len(rec["b_hat"])
     arrays = {}
+    for name in ("mean", "cov", "a_hat", "s", "b_hat", "Sigma"):
+        try:
+            arrays[name] = np.array(rec[name], dtype=float)
+        except (TypeError, ValueError):  # a string, a ragged list, ...
+            raise ValueError(f"checkpoint field {name!r} must be a number or a flat list of numbers, "
+                             f"got {rec[name]!r}") from None
+    d, m = arrays["mean"].size, arrays["b_hat"].size
     for name, shape in (("mean", (d,)), ("cov", (d * d,)), ("a_hat", ()), ("s", ()),
                         ("b_hat", (m,)), ("Sigma", (m * m,))):
-        v = np.array(rec[name], dtype=float)
+        v = arrays[name]
         if v.shape != shape or not v.size:
             raise ValueError(f"checkpoint field {name!r} has shape {v.shape}, expected {shape} (d = {d}, m = {m})")
         if not np.isfinite(v).all():
             raise ValueError(f"checkpoint field {name!r} holds a non-finite value")
-        arrays[name] = v
     bg = np.random.PCG64()
     bg.state = {
         "bit_generator": "PCG64",

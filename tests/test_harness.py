@@ -221,10 +221,21 @@ def test_resonator_defaults_come_from_its_table():
     pytest.param({"sigma2_const": math.inf}, "sigma2_const = inf must be finite and > 0", id="sigma2_const-inf"),
     pytest.param({"sigma2_const": math.nan}, "sigma2_const = nan must be finite and > 0", id="sigma2_const-nan"),
     pytest.param({"sigma2_const": 0.0}, "sigma2_const = 0.0 must be finite and > 0", id="sigma2_const-0.0"),
+    pytest.param({"n": 2.5}, "n = 2.5 must be an integer >= 2", id="n-2.5"),
+    pytest.param({"n": 1}, "n = 1 must be an integer >= 2", id="n-1"),
+    pytest.param({"n": True}, "n = True must be an integer >= 2", id="n-True"),
+    pytest.param({"seeds": (1.5,)}, "seeds = 1.5 must be an integer >= 0", id="seed-1.5"),
+    pytest.param({"seeds": (1, -1)}, "seeds = -1 must be an integer >= 0", id="seed--1"),
+    pytest.param({"seeds": (True,)}, "seeds = True must be an integer >= 0", id="seed-True"),
+    pytest.param({"n_mc": 2.5}, "n_mc = 2.5 must be an integer >= 1", id="n_mc-2.5"),
+    pytest.param({"n_mc": math.nan}, "n_mc = nan must be an integer >= 1", id="n_mc-nan"),
+    pytest.param({"n_mc": 0}, "n_mc = 0 must be an integer >= 1", id="n_mc-0"),
+    pytest.param({"n_iter": 0}, "n_iter = 0 must be an integer >= 1", id="n_iter-0"),
+    pytest.param({"n_iter": False}, "n_iter = False must be an integer >= 1", id="n_iter-False"),
 ])
 def test_config_rejects_parameters_that_are_not_finite_or_out_of_range(method, fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ExperimentConfig(ExperimentKind.MS_NONIID, method, n=30, seeds=(1,), **fields)
+        ExperimentConfig(ExperimentKind.MS_NONIID, method, **{"n": 30, "seeds": (1,), **fields})
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -528,6 +530,13 @@ def test_checkpoint_roundtrip_continues_identically():
     ("rng_inc", 2.5, "'rng_inc' must be an integer in"),
     ("rng_has_uint32", 7, "'rng_has_uint32' must be an integer in"),
     ("rng_uinteger", 2**32, "'rng_uinteger' must be an integer in"),
+    ("mean", 1.0, "'mean' has shape"),
+    ("mean", None, "'mean' has shape"),
+    ("b_hat", 1.0, "'b_hat' has shape"),
+    ("b_hat", None, "'b_hat' has shape"),
+    ("a_hat", "abc", "'a_hat' must be a number or a flat list of numbers"),
+    ("Sigma", "xy", "'Sigma' must be a number or a flat list of numbers"),
+    ("cov", [[1.0, 0.0], [0.0, 1.0, 0.0]], "'cov' must be a number or a flat list of numbers"),
 ])
 def test_checkpoint_rejects_non_finite_or_misfit_fields(field, value, match):
     rec = state_to_checkpoint(default_initial_state(vk.NoiseTransform.diagonal(2), seed=3))
@@ -625,6 +634,14 @@ def test_hyper_rejects_a_random_walk_variance_that_is_not_finite_and_nonnegative
         VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), **{key: value})
 
 
+@pytest.mark.parametrize("key", ["n_mc", "n_iter"])
+@pytest.mark.parametrize("value", [0, -2, 2.5, math.nan, True, "2"])
+def test_hyper_rejects_a_count_that_is_not_a_positive_integer(key, value):
+    with pytest.raises(ValueError, match=f"^{key} = {value} must be an integer >= 1$"):
+        VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), **{key: value})
+    assert getattr(VikingHyper(vk.NoiseTransform.diagonal(2), np.eye(2), **{key: np.int64(3)}), key) == 3
+
+
 def _with_gaussian(init, mean, cov):
     return VikingState(GaussianState(mean, cov), init.beliefs, init.step_index, init.rng)
 
@@ -672,3 +689,85 @@ def test_a_zero_or_singular_gaussian_init_still_runs():
         assert np.isfinite(trace.forecast).all()
     trace, _ = viking_run(ds, hyper, init=default_initial_state(hyper.transform, p0=0.0, seed=1))
     assert np.isfinite(trace.forecast).all()
+
+
+# ------------------------------------------- a step from its documented parts
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _exp_each(v):
+    return math.exp(v) if np.ndim(v) == 0 else np.array([math.exp(u) for u in v.tolist()])
+
+
+def _composed_step(st_, hyper, x, y):
+    """One step composed pass by pass from the public helpers (module
+    docstring), on copies of the state's generators: the reference that the
+    step, which forms the per-step terms once, must match bit for bit."""
+    from viking.kalman import _dot, _matvec, quad_form
+    from viking.linalg import sym
+    from viking.transforms import expansion_point, psi_gradient_hessian_bound
+    from viking.vb import B_HAT_FLOOR, M_A_FLOOR
+
+    rng = copy.deepcopy(st_.rng)
+    tr, bel = hyper.transform, st_.beliefs
+    fc_mean, fc_var = forecast(st_, hyper, x)
+    prior_mean = _matvec(hyper.K, st_.state.mean)
+    KPK = sym(hyper.K @ st_.state.cov @ hyper.K.T)
+    prop = KPK + vk.apply_f(tr, bel.b_hat)
+    s_prior = bel.s + hyper.rho_a
+    m_a = np.maximum(3.0 * bel.s, M_A_FLOOR)
+    a_cur, s_cur = bel.a_hat, s_prior
+    Sigma_cur, learn_b = bel.latent_prior(hyper.rho_b, hyper.learn_b)
+    b_cur = bel.b_hat.copy()
+    for _ in range(hyper.n_iter):
+        _, A_inv = estimate_precision(b_cur, Sigma_cur, KPK, tr, hyper.n_mc, rng)
+        state_new = update_state_moments(A_inv, a_cur, s_cur, prior_mean, x, y)
+        if hyper.learn_a:
+            resid = y - _dot(state_new.mean, x)
+            r2 = resid * resid + quad_form(x, state_new.cov)
+            s_cur = update_s(r2, a_cur, s_prior)
+            a_cur = update_a(r2, bel.a_hat, s_cur, s_prior, m_a)
+        if learn_b:
+            delta = state_new.mean - prior_mean
+            B = state_new.cov + delta[..., :, None] * delta[..., None, :]
+            grad, H = psi_gradient_hessian_bound(tr, expansion_point(tr, bel.b_hat), B, prop)
+            b_cur, Sigma_cur = update_b(bel.b_hat, bel.Sigma, grad, H, hyper.rho_b, floor=B_HAT_FLOOR)
+    record = vk.StepRecord(
+        t=st_.step_index, y=y, forecast=fc_mean, forecast_var=fc_var, residual=y - fc_mean,
+        a_hat=a_cur, s=s_cur, sigma2_eff=_exp_each(a_cur - 0.5 * s_cur), b_hat=b_cur,
+        sigma_diag=np.diagonal(Sigma_cur, axis1=-2, axis2=-1), cum_sq_err=math.nan,
+        theta=state_new.mean, cov=state_new.cov)
+    return state_new, VarianceBeliefs(a_cur, s_cur, b_cur, Sigma_cur), rng, record
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["one-filter", "batch-of-3"])
+@pytest.mark.parametrize("kind", list(vk.TransformKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("latent", ["learned", "known"])
+def test_step_equals_its_parts_composed_pass_by_pass(batch, kind, latent):
+    d, n = 3, 6
+    rng = np.random.default_rng(4)
+    shape = (n,) if batch is None else (n, batch)
+    x = rng.uniform(size=shape + (d,))
+    y = x.sum(axis=-1) + rng.standard_normal(shape)
+    known = latent == "known"
+    hyper = VikingHyper(vk.NoiseTransform(kind, d), 0.9 * np.eye(d), rho_b=0.0 if known else math.exp(-6.0),
+                        n_mc=4, learn_b=True)
+    inits = [default_initial_state(hyper.transform, sigma0=0.0 if known else 0.1, seed=s) for s in (1, 2, 3)]
+    st_ = inits[0] if batch is None else stack_states(inits)
+    for t in range(n):
+        yt = float(y[t]) if batch is None else y[t]
+        state_new, beliefs, rng_after, want = _composed_step(st_, hyper, x[t], yt)
+        st_, got = viking_step(st_, hyper, x[t], yt)
+        for f in fields(want):
+            assert _same_bits(getattr(got, f.name), getattr(want, f.name)), (t, f.name)
+        for name in ("mean", "cov"):
+            assert _same_bits(getattr(st_.state, name), getattr(state_new, name)), (t, name)
+        for name in ("a_hat", "s", "b_hat", "Sigma"):
+            assert _same_bits(getattr(st_.beliefs, name), getattr(beliefs, name)), (t, name)
+        gens = [(st_.rng, rng_after)] if batch is None else zip(st_.rng, rng_after)
+        assert all(a.bit_generator.state == b.bit_generator.state for a, b in gens)
+    assert st_.step_index == n
+    assert st_.beliefs.Sigma.any() != known
