@@ -9,8 +9,10 @@ setting, n, seeds, seed, n_mc, n_iter, rho_a, rho_b, learn_a, learn_b, the
 initial beliefs a0, s0, q0, sigma0, p0, the constant-variance grid q_grid,
 q_shape (masked | full | both; unset, full alone on the resonator and both
 elsewhere), sigma2_const, the design's walk_var, and out, data, nmc_list. An
-unset key takes the harness default, and a filter key the filter's own. Exit
-codes: 0 on success, 1 on usage errors, 2 on numerical failure.
+unset key takes the harness default, and a filter key the filter's own. A
+flag's value is parsed as its config key's is (:data:`CONFIG_KEYS`), and
+every key set is parsed, whether or not the subcommand reads it. Exit codes:
+0 on success, 1 on usage errors, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None,
                         help="key = value config file; keys: " + ", ".join(CONFIG_KEYS))
-    common.add_argument("--seed", type=int, default=None, help="single seed")
+    common.add_argument("--seed", type=str, default=None, help="single seed")
     common.add_argument("--seeds", type=str, default=None, help="comma list or a..b range")
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--experiment", type=str, default=None,
@@ -61,10 +63,10 @@ def build_parser() -> _Parser:
     common.add_argument("--method", type=str, default=None,
                         help="viking | kalman-oracle | kalman-constant")
     common.add_argument("--setting", type=str, default=None, help="scalar | diagonal")
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--n-mc", type=int, default=None)
-    common.add_argument("--rho-a", type=float, default=None)
-    common.add_argument("--rho-b", type=float, default=None)
+    common.add_argument("--n", type=str, default=None)
+    common.add_argument("--n-mc", type=str, default=None)
+    common.add_argument("--rho-a", type=str, default=None)
+    common.add_argument("--rho-b", type=str, default=None)
 
     parser = _Parser(prog="viking", description="adaptive state-space forecasting experiments")
     sub = parser.add_subparsers(dest="command")
@@ -119,54 +121,46 @@ _COMMAND_KEYS = {"seed", "out", "data", "nmc_list"}
 _INIT_FIELDS = {f.name for f in fields(InitOverrides)}
 
 
-class _Options:
-    """Config-file values overridden by explicit flags."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.file: dict[str, str] = {}
-        if getattr(args, "config", None):
-            self.file = parse_config_file(args.config)
-        unknown = sorted(set(self.file) - CONFIG_KEYS.keys())
-        if unknown:
-            raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
-        self.args = args
-
-    def get(self, key: str, default=None):
-        raw = getattr(self.args, key, None)
-        if raw is None:
-            raw = self.file.get(key)
-        if raw is None:
-            return default
+def _options(args: argparse.Namespace) -> dict:
+    """Every key the user set, config-file values overridden by explicit
+    flags, each parsed by its :data:`CONFIG_KEYS` entry."""
+    file = parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file) - CONFIG_KEYS.keys())
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+    flags = {key: raw for key in CONFIG_KEYS if (raw := getattr(args, key, None)) is not None}
+    opts = {}
+    for key, raw in {**file, **flags}.items():
         try:
-            return CONFIG_KEYS[key](raw)
+            opts[key] = CONFIG_KEYS[key](raw)
         except ValueError as exc:
             raise UsageError(f"{key}: {exc}") from exc
+    # precedence: the --seed flag, then seeds (flag or file), then a file's seed
+    if "seed" in flags or ("seeds" not in opts and "seed" in opts):
+        opts["seeds"] = (opts["seed"],)
+    return opts
 
 
-def _build_config(opts: _Options, *, seeds_default: tuple[int, ...] | None = (1,)) -> ExperimentConfig:
+def _build_config(opts: dict, *, seeds_default: tuple[int, ...] | None = (1,)) -> ExperimentConfig:
     """Config from the keys the user set; a ``None`` seeds default keeps the config's."""
     given: dict = {"experiment": ExperimentKind.WS_IID, "method": Method.VIKING}
     init: dict = {}
-    for key in CONFIG_KEYS:
-        value = None if key in _COMMAND_KEYS else opts.get(key)
-        if value is not None:
+    for key, value in opts.items():
+        if key not in _COMMAND_KEYS:
             field = "q_shapes" if key == "q_shape" else key
             (init if field in _INIT_FIELDS else given)[field] = value
-    # precedence: the --seed flag, then seeds (flag or file), then a file's seed
-    if opts.args.seed is not None or ("seeds" not in given and "seed" in opts.file):
-        given["seeds"] = (opts.get("seed"),)
     if seeds_default is not None:
         given.setdefault("seeds", seeds_default)
     return ExperimentConfig(**given, init=InitOverrides(**init))
 
 
-def _out_dir(opts: _Options) -> Path:
-    out = Path(opts.get("out", default="out"))
+def _out_dir(opts: dict) -> Path:
+    out = Path(opts.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _cmd_simulate(opts: _Options) -> int:
+def _cmd_simulate(opts: dict) -> int:
     cfg = _build_config(opts)
     out = _out_dir(opts)
     for seed in cfg.seeds:
@@ -177,7 +171,7 @@ def _cmd_simulate(opts: _Options) -> int:
     return 0
 
 
-def _cmd_filter(opts: _Options) -> int:
+def _cmd_filter(opts: dict) -> int:
     data = opts.get("data")
     if data is None:
         raise UsageError("filter requires --data <dataset csv>")
@@ -191,7 +185,7 @@ def _cmd_filter(opts: _Options) -> int:
     return 0
 
 
-def _cmd_experiment(opts: _Options) -> int:
+def _cmd_experiment(opts: dict) -> int:
     cfg = _build_config(opts, seeds_default=None)
     out = _out_dir(opts)
     summary = run_experiment(cfg, out_dir=out)
@@ -201,9 +195,9 @@ def _cmd_experiment(opts: _Options) -> int:
     return 0
 
 
-def _cmd_sweep_nmc(opts: _Options) -> int:
+def _cmd_sweep_nmc(opts: dict) -> int:
     cfg = _build_config(opts, seeds_default=None)
-    nmc_list = opts.get("nmc_list", default=[1, 2, 5, 10, 20])
+    nmc_list = opts.get("nmc_list", [1, 2, 5, 10, 20])
     out = _out_dir(opts)
     rows = sweep_nmc(cfg, nmc_list, out_dir=out)
     for nmc, mean, ratio in rows:
@@ -211,7 +205,7 @@ def _cmd_sweep_nmc(opts: _Options) -> int:
     return 0
 
 
-def _cmd_grid(opts: _Options) -> int:
+def _cmd_grid(opts: dict) -> int:
     cfg = _build_config(opts, seeds_default=tuple(range(1, 11)))
     if cfg.method is not Method.VIKING:
         raise UsageError("grid search applies to the adaptive filter only")
@@ -241,7 +235,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("missing subcommand")
-        return _COMMANDS[args.command](_Options(args))
+        return _COMMANDS[args.command](_options(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

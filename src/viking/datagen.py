@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_count, check_finite
 from .records import read_table, write_table
 from .rng import (
     STREAM_DESIGN,
@@ -101,12 +102,11 @@ def gen_design(kind: DesignKind, n: int, seed: int, walk_var: float = DEFAULT_WA
 
     The non-i.i.d. kind random-walks the four uniform coordinates with
     per-step variance ``walk_var``, reflecting excursions back into [0, 1].
-    A ``walk_var`` that is negative or not finite raises ``ValueError``.
+    An ``n`` that is not an integer >= 1, or a ``walk_var`` that is negative
+    or not finite, raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not (math.isfinite(walk_var) and walk_var >= 0.0):
-        raise ValueError(f"walk_var = {walk_var} must be finite and >= 0")
+    check_count("n", n, 1)
+    check_finite("walk_var", walk_var)
     rng = make_rng(seed, STREAM_DESIGN)
     x = np.empty((n, 5))
     x[:, 4] = 1.0
@@ -127,16 +127,13 @@ def _ws_schedules(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma2, q_level[:, None] * WS_Q_MASK[None, :]
 
 
-def _variances(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
-    """``values`` as a float array of ``shape``, every entry finite and >= 0;
-    else ``ValueError`` naming the argument."""
+def _variances(name: str, values, shape: tuple[int, ...], bound: str = ">= 0") -> np.ndarray:
+    """``values`` as a float array of ``shape``, every entry finite and
+    ``bound``; else ``ValueError`` naming the argument."""
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
-    ok = (values >= 0.0) & (values < np.inf)  # NaN fails both
-    if not ok.all():
-        raise ValueError(f"{name} must be finite and >= 0, got {values[~ok].flat[0]}")
-    return values
+    return check_finite(name, values, bound, got=True)
 
 
 def _resolve_schedules(n: int, d: int, sigma2_override, q_diag_override) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +146,12 @@ def _resolve_schedules(n: int, d: int, sigma2_override, q_diag_override) -> tupl
     if q_diag_override is not None:
         q_diag = _variances("q_diag_override", q_diag_override, (n, d))
     return sigma2, q_diag
+
+
+def _observe(theta: np.ndarray, x: np.ndarray, sigma2: np.ndarray, seed: int) -> np.ndarray:
+    """The observations ``y_t = x_t·theta_t + sqrt(sigma2_t) eps_t``, with
+    ``eps`` from the seed's observation-noise stream."""
+    return np.einsum("td,td->t", theta, x) + np.sqrt(sigma2) * make_rng(seed, STREAM_OBS_NOISE).standard_normal(len(x))
 
 
 def gen_wellspecified(design: np.ndarray, seed: int, sigma2_override=None, q_diag_override=None) -> Dataset:
@@ -164,8 +167,7 @@ def gen_wellspecified(design: np.ndarray, seed: int, sigma2_override=None, q_dia
     theta0 = make_rng(seed, STREAM_THETA0).standard_normal(d)
     state_noise = make_rng(seed, STREAM_STATE_NOISE).standard_normal((n, d)) * np.sqrt(q_diag)
     theta = theta0 + np.cumsum(state_noise, axis=0)
-    y = np.einsum("td,td->t", theta, design) + np.sqrt(sigma2) * make_rng(seed, STREAM_OBS_NOISE).standard_normal(n)
-    return Dataset(design, y, seed, {"generator": "wellspecified", "n": n},
+    return Dataset(design, _observe(theta, design, sigma2, seed), seed, {"generator": "wellspecified", "n": n},
                    Truth(sigma2, q_diag, theta))
 
 
@@ -191,8 +193,7 @@ def gen_misspecified(design: np.ndarray, seed: int, sigma2_override=None, q_diag
         states[:, k, j] = [v := MS_CONTRACTION * v + e for e in noise[:, k, j].tolist()]
     mix = make_rng(seed, STREAM_MIXTURE).integers(0, 2, size=n)
     theta = states[np.arange(n), mix]
-    y = np.einsum("td,td->t", theta, design) + np.sqrt(sigma2) * make_rng(seed, STREAM_OBS_NOISE).standard_normal(n)
-    return Dataset(design, y, seed, {"generator": "misspecified", "n": n},
+    return Dataset(design, _observe(theta, design, sigma2, seed), seed, {"generator": "misspecified", "n": n},
                    Truth(sigma2, q_diag, theta, mix))
 
 
@@ -220,9 +221,7 @@ def gen_resonator(n: int, sigma_traj: np.ndarray, seed: int, theta0=None,
     A ``sigma_traj`` entry that is not finite and > 0, or a ``q_diag`` entry
     that is not finite and >= 0, raises ``ValueError`` naming the argument.
     """
-    sigma_traj = _variances("sigma_traj", sigma_traj, (n,))
-    if np.any(sigma_traj == 0.0):
-        raise ValueError("sigma_traj must be positive")
+    sigma_traj = _variances("sigma_traj", sigma_traj, (n,), "> 0")
     K = resonator_transition()
     d = 3
     q = _variances("q_diag", q_diag, (d,))
@@ -236,8 +235,7 @@ def gen_resonator(n: int, sigma_traj: np.ndarray, seed: int, theta0=None,
     for t in range(n):
         prev = K @ prev + noise[t]
         theta[t] = prev
-    y = np.einsum("td,td->t", theta, x) + np.sqrt(sigma_traj) * make_rng(seed, STREAM_OBS_NOISE).standard_normal(n)
-    return Dataset(x, y, seed, {"generator": "resonator", "n": n},
+    return Dataset(x, _observe(theta, x, sigma_traj, seed), seed, {"generator": "resonator", "n": n},
                    Truth(sigma_traj, np.tile(q, (n, 1)), theta))
 
 

@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import check_count, check_finite
 from .datagen import (
     Dataset,
     DesignKind,
@@ -59,7 +60,7 @@ from .kalman import P0, GaussianState, kalman_run_grid, kalman_traces
 from .linalg import SingularMatrixError
 from .records import StepRecord, Trace, fmt, write_lines, write_table, write_trace_csv
 from .transforms import NoiseTransform, TransformKind as Setting  # Setting: the noise shape VIKING learns
-from .vb import VikingHyper, _check_count, _check_nonnegative, default_initial_state, viking_run_batch
+from .vb import VikingHyper, default_initial_state, viking_run_batch
 
 DEFAULT_RHO_GRID = DEFAULT_Q_GRID = tuple(math.exp(-i) for i in range(1, 11))
 
@@ -118,22 +119,21 @@ class ExperimentConfig:
     walk_var: float = DEFAULT_WALK_VAR
 
     def __post_init__(self) -> None:
-        _check_count("n", self.n, 2)  # the second-half metric needs at least one point
+        check_count("n", self.n, 2)  # the second-half metric needs at least one point
         if not self.seeds:
             raise ValueError("need at least one seed")
         for seed in self.seeds:
-            _check_count("seeds", seed, 0)
-        _check_count("n_mc", self.n_mc, 1)
-        _check_count("n_iter", self.n_iter, 1)
+            check_count("seeds", seed, 0)
+        check_count("n_mc", self.n_mc, 1)
+        check_count("n_iter", self.n_iter, 1)
         if not self.q_grid or () in (self.q_shapes, self.rho_a, self.rho_b):
             raise ValueError("grids must be non-empty")
         for key in ("rho_a", "rho_b", "q_grid"):
             value = getattr(self, key)
             for v in value if isinstance(value, tuple) else () if value is None else (value,):
-                _check_nonnegative(key, v)
-        _check_nonnegative("initial p0", self.init.p0)  # the Kalman methods' one initial belief
-        if not 0.0 < self.sigma2_const < math.inf:  # NaN fails too
-            raise ValueError(f"sigma2_const = {self.sigma2_const} must be finite and > 0")
+                check_finite(key, v)
+        check_finite("initial p0", self.init.p0)  # the Kalman methods' one initial belief
+        check_finite("sigma2_const", self.sigma2_const, "> 0")
 
 
 def mse_second_half(trace: Trace | list[StepRecord]) -> float:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_finite, check_transition
 from .linalg import sym
 from .records import Trace, split_traces
 
@@ -111,13 +112,6 @@ def _check_psd(Q: np.ndarray) -> None:
         raise ValueError("state-noise matrix is not symmetric")
     if np.any(np.linalg.eigvalsh(sym(Q)).min(axis=-1) < -1e-10 * scale):
         raise ValueError("state-noise matrix is not positive semidefinite")
-
-
-def _check_sigma2(sigma2) -> None:
-    sigma2 = np.asarray(sigma2)
-    ok = (sigma2 > 0.0) & (sigma2 < np.inf)  # NaN fails both
-    if not ok.all():
-        raise ValueError(f"observation variance must be finite and > 0, got {sigma2[~ok].flat[0]}")
 
 
 def _check_inputs(x: np.ndarray, y) -> None:
@@ -197,7 +191,7 @@ def kalman_step(state: GaussianState, K: np.ndarray, Q: np.ndarray, sigma2: floa
     ``ValueError``, and so does a ``state`` that is not one finite ``(d,)``
     mean with a symmetric PSD ``(d, d)`` covariance (within tolerance), its
     message starting with ``state: ``."""
-    _check_sigma2(sigma2)
+    check_finite("observation variance", sigma2, "> 0", got=True)
     _check_psd(Q)
     _check_inputs(x, y)
     _check_init(state, len(K), "state")
@@ -226,14 +220,13 @@ def kalman_run_grid(x: np.ndarray, y: np.ndarray, K: np.ndarray, Q: np.ndarray, 
     equals its transpose exactly (see the module docstring).
     """
     n, B, d = x.shape
-    if K.shape != (d, d):
-        raise ValueError(f"transition matrix has shape {K.shape}, expected ({d}, {d}) for the {d}-dimensional state")
+    K = check_transition(K, d)
     G = len(Q) if Q.ndim == 4 else 1
     if G < 1 or Q.shape not in ((G, 1, d, d), (n, 1, B, d, d)):
         raise ValueError(f"Q has shape {Q.shape}, expected (G, 1, {d}, {d}) or ({n}, 1, {B}, {d}, {d})")
     _check_psd(Q)
     sigma2 = np.broadcast_to(sigma2, (n, B))  # a ValueError unless it broadcasts
-    _check_sigma2(sigma2)
+    check_finite("observation variance", sigma2, "> 0", got=True)
     _check_inputs(x, y)
     _check_init(init, d)
     K = transition_scale(K)

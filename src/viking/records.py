@@ -161,21 +161,14 @@ def read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
     m = 0 if trace.b_hat is None else trace.b_hat.shape[1]
     header = BASE_COLUMNS + [f"b{j + 1}" for j in range(m)] + [f"Sigma{j + 1}" for j in range(m)]
-    columns = [trace.t, trace.y, trace.forecast, trace.forecast_var, trace.residual,
-               trace.a_hat, trace.s, trace.sigma2_eff]
-    if m:
-        columns += [trace.b_hat, trace.sigma_diag]
+    columns = [getattr(trace, name) for name in BASE_COLUMNS] + ([trace.b_hat, trace.sigma_diag] if m else [])
     write_table(path, header + ["cum_sq_err"], columns + [trace.cum_sq_err])
 
 
 def read_trace_csv(path: str | Path) -> Trace:
     header, vals = read_table(path)
     m = sum(1 for name in header if name.startswith("b") and name[1:].isdigit())
-    col = dict(zip(BASE_COLUMNS, vals.T))
-    return Trace(
-        t=vals[:, 0].astype(int), y=col["y"], forecast=col["forecast"],
-        forecast_var=col["forecast_var"], residual=col["residual"], a_hat=col["a_hat"],
-        s=col["s"], sigma2_eff=col["sigma2_eff"],
-        b_hat=vals[:, 8:8 + m] if m else None, sigma_diag=vals[:, 8 + m:8 + 2 * m] if m else None,
-        cum_sq_err=vals[:, 8 + 2 * m],
-    )
+    base, b_hat, sigma_diag, cum = np.split(vals, np.cumsum([len(BASE_COLUMNS), m, m]), axis=1)
+    col = dict(zip(BASE_COLUMNS, base.T))
+    return Trace(**{**col, "t": col["t"].astype(int)}, b_hat=b_hat if m else None,
+                 sigma_diag=sigma_diag if m else None, cum_sq_err=cum[:, 0])

@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
+from .checks import check_count
 from .linalg import spd_factor, spd_inv, sym
 
 
@@ -47,14 +48,14 @@ class NoiseTransform:
     ``dim`` is the state dimension. The scalar kind has a 1-dimensional
     latent and produces ``phi(b) * I``; the diagonal kind has a
     ``dim``-dimensional latent mapped coordinate-wise onto the diagonal.
+    A ``dim`` that is not an integer >= 1 raises ``ValueError``.
     """
 
     kind: TransformKind
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"state dimension must be >= 1, got {self.dim}")
+        check_count("state dimension", self.dim, 1)
 
     @property
     def latent_dim(self) -> int:

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_count, check_finite, check_transition
 from .kalman import P0, GaussianState, _check_init, _dot, _matvec, quad_form, rank_one_update
 from .linalg import SingularMatrixError, spd_inv, sym
 from .records import StepRecord, Trace, split_traces
@@ -75,19 +76,6 @@ M_A_FLOOR = 1e-8
 B_HAT_FLOOR = 1e-8
 
 
-def _check_nonnegative(name: str, value) -> None:
-    """``value`` is finite and >= 0; else ``ValueError`` naming it."""
-    if not 0.0 <= value < math.inf:  # NaN fails too
-        raise ValueError(f"{name} = {value} must be finite and >= 0")
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """``value`` is an integer >= ``low`` (a numpy integer passes, a bool
-    does not); else ``ValueError`` naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} = {value} must be an integer >= {low}")
-
-
 @dataclass
 class VikingHyper:
     """Time-invariant filter parameters."""
@@ -102,15 +90,11 @@ class VikingHyper:
     learn_b: bool = True
 
     def __post_init__(self) -> None:
-        self.K = np.asarray(self.K, dtype=float)
-        d = self.transform.dim
-        if self.K.shape != (d, d):
-            raise ValueError(f"transition matrix has shape {self.K.shape}, "
-                             f"expected ({d}, {d}) for the {d}-dimensional state")
-        _check_count("n_mc", self.n_mc, 1)
-        _check_count("n_iter", self.n_iter, 1)
+        self.K = check_transition(self.K, self.transform.dim)
+        check_count("n_mc", self.n_mc, 1)
+        check_count("n_iter", self.n_iter, 1)
         for name in ("rho_a", "rho_b"):
-            _check_nonnegative(name, getattr(self, name))
+            check_finite(name, getattr(self, name))
 
 
 @dataclass
@@ -130,11 +114,12 @@ class VarianceBeliefs:
         """The latent's prior at the next step, ``Sigma + rho_b I``, and
         whether ``b`` is learned there: ``learn_b`` and a nonzero prior. A
         zero prior (``rho_b = 0``, no latent uncertainty) means ``b`` is
-        known. For a batch the answer is its filters' together; the
-        harness's batches share ``rho_b`` and ``sigma0``, so they never mix
-        zero and nonzero priors (see :func:`estimate_precision`)."""
+        known. For a batch the answer is its filters' together, by
+        :func:`_sampled`, which raises on a batch mixing zero and nonzero
+        priors; the harness's batches share ``rho_b`` and ``sigma0``, so they
+        never mix them."""
         prior = self.Sigma + rho_b * np.eye(self.Sigma.shape[-1])
-        return prior, learn_b and bool(prior.any())
+        return prior, _sampled(prior) and learn_b
 
 
 @dataclass
@@ -163,12 +148,10 @@ def default_initial_state(transform: NoiseTransform, *, a0: float = 0.0, s0: flo
     kind only). A non-finite value, or a negative one for any field but
     ``a0``, raises ``ValueError`` naming its field.
     """
-    for name, value in (("a0", a0), ("s0", s0), ("q0", q0), ("sigma0", sigma0), ("p0", p0)):
-        v = np.asarray(value, dtype=float)
-        if not np.isfinite(v).all() or (name != "a0" and (v < 0.0).any()):
-            raise ValueError(f"initial {name} = {value} must be finite" + ("" if name == "a0" else " and >= 0"))
+    for name, value in (("a0", a0), ("s0", s0), ("sigma0", sigma0), ("p0", p0)):
+        check_finite(f"initial {name}", value, "" if name == "a0" else ">= 0")
     d, m = transform.dim, transform.latent_dim
-    q0_arr = np.asarray(q0, dtype=float)
+    q0_arr = check_finite("initial q0", q0)
     if q0_arr.ndim == 0:
         q0_arr = np.full(m, float(q0_arr))
     if q0_arr.shape != (m,):
@@ -325,14 +308,15 @@ def update_b(b_prev: np.ndarray, Sigma_prev: np.ndarray, grad: np.ndarray, H: np
 
     A zero ``Sigma_prev + rho_b I`` (``rho_b = 0`` and no latent
     uncertainty) means ``b`` is known: there is no update, and ``b_prev`` and
-    ``Sigma_prev`` are returned as they are, at no inversion. (A batch never
-    mixes zero and nonzero covariances; see :func:`estimate_precision`.)
+    ``Sigma_prev`` are returned as they are, at no inversion. A batch mixing
+    zero and nonzero priors raises ``ValueError`` (see :func:`estimate_precision`).
     """
-    m = b_prev.shape[-1]
-    if grad.shape != b_prev.shape or H.shape != b_prev.shape + (m,) or Sigma_prev.shape != H.shape:
-        raise ValueError("inconsistent latent dimensions in update_b")
-    prior = Sigma_prev + rho_b * np.eye(m)
-    if not prior.any():
+    square = b_prev.shape + b_prev.shape[-1:]
+    for name, v, shape in (("grad", grad, b_prev.shape), ("H", H, square), ("Sigma_prev", Sigma_prev, square)):
+        if v.shape != shape:
+            raise ValueError(f"{name} has shape {v.shape}, expected {shape} for b_prev of shape {b_prev.shape}")
+    prior = Sigma_prev + rho_b * np.eye(b_prev.shape[-1])
+    if not _sampled(prior):
         return b_prev.copy(), Sigma_prev.copy()
     return _update_b(b_prev, prior, grad, H, floor)
 
@@ -381,7 +365,8 @@ def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[
     filter axis. Each filter's arithmetic and random draws are the ones it
     gets alone, bit for bit. A single filter steps without the axis (see the
     module docstring).
-    Non-finite covariates or observations raise ``ValueError`` and numerical
+    Non-finite covariates or observations, or a learned ``a`` with no prior
+    variance (``s + rho_a = 0``), raise ``ValueError`` and numerical
     singularities ``SingularMatrixError``, naming the step and, in a batch,
     the filter (also as the exception's ``filter``); a batch mixing zero and
     nonzero latent priors raises ``ValueError`` naming the step.
@@ -397,6 +382,10 @@ def viking_step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         bad = np.flatnonzero(~(np.isfinite(x).all(axis=-1) & np.isfinite(y)))
         raise _step_error(ValueError("non-finite covariates or observation"), st, int(bad[0]))
+    if hyper.learn_a:  # update_s divides by the latent's prior variance s + rho_a
+        ok = st.beliefs.s + hyper.rho_a > 0.0
+        if not (ok.all() if batch else ok):
+            raise _step_error(ValueError("s + rho_a must be > 0 when a is learned"), st, int(np.argmin(ok)))
     try:
         return _step(st, hyper, x, y if batch else float(y))
     except SingularMatrixError as exc:
@@ -422,8 +411,8 @@ def _step(st: VikingState, hyper: VikingHyper, x: np.ndarray, y) -> tuple[Viking
     # prior, its zero test (zero: b is known, no draw and no b bound) and the
     # bound's terms at b_prev. C = prop and the prior are inverted per pass,
     # as c07 counts.
-    prior, learn_b = bel.latent_prior(hyper.rho_b, hyper.learn_b)
-    sampled = _sampled(prior)
+    prior, sampled = bel.latent_prior(hyper.rho_b)
+    learn_b = sampled and hyper.learn_b
     point = expansion_point(transform, b_prev) if learn_b else None
 
     Sigma_cur = prior
@@ -470,7 +459,8 @@ def viking_run_batch(x: np.ndarray, y: np.ndarray, hyper: VikingHyper, inits: li
     undefined, raises ``ValueError`` naming it before the first step, as does
     a Gaussian state that is not a finite ``(d,)`` mean with a finite,
     symmetric, PSD ``(d, d)`` covariance (starting ``init``, and naming the
-    filter in a batch).
+    filter in a batch); with ``learn_a`` on, :func:`viking_step` rejects a
+    filter with ``s + rho_a = 0`` at the first step, naming it.
     """
     n, B, d = x.shape
     if d != hyper.transform.dim:
@@ -536,8 +526,10 @@ _CHECKPOINT_INTS = {"step_index": 63, "rng_state": 128, "rng_inc": 128, "rng_has
 def state_from_checkpoint(rec: dict) -> VikingState:
     """The state :func:`state_to_checkpoint` recorded. A missing field, an
     array field that is not a number or a flat list of numbers, a non-finite
-    value, a size that does not fit the others, or an integer field that is
-    not an int in ``[0, 2**width)`` raises ``ValueError`` naming its field."""
+    value, a size that does not fit the others, a negative ``s``, a ``cov`` or
+    ``Sigma`` that is not symmetric PSD (the rule of an initial state), or an
+    integer field that is not an int in ``[0, 2**width)`` raises
+    ``ValueError`` naming its field."""
     for name in ("mean", "cov", "a_hat", "s", "b_hat", "Sigma", *_CHECKPOINT_INTS):
         if name not in rec:
             raise ValueError(f"checkpoint field {name!r} is missing")
@@ -560,6 +552,10 @@ def state_from_checkpoint(rec: dict) -> VikingState:
             raise ValueError(f"checkpoint field {name!r} has shape {v.shape}, expected {shape} (d = {d}, m = {m})")
         if not np.isfinite(v).all():
             raise ValueError(f"checkpoint field {name!r} holds a non-finite value")
+    check_finite("checkpoint field 's'", arrays["s"])
+    cov, Sigma = arrays["cov"].reshape(d, d), arrays["Sigma"].reshape(m, m)
+    _check_init(GaussianState(arrays["mean"], cov), d, "checkpoint field 'cov'")
+    _check_init(GaussianState(arrays["b_hat"], Sigma), m, "checkpoint field 'Sigma'")
     bg = np.random.PCG64()
     bg.state = {
         "bit_generator": "PCG64",
@@ -568,9 +564,8 @@ def state_from_checkpoint(rec: dict) -> VikingState:
         "uinteger": rec["rng_uinteger"],
     }
     return VikingState(
-        GaussianState(arrays["mean"], arrays["cov"].reshape(d, d)),
-        VarianceBeliefs(float(arrays["a_hat"]), float(arrays["s"]), arrays["b_hat"],
-                        arrays["Sigma"].reshape(m, m)),
+        GaussianState(arrays["mean"], cov),
+        VarianceBeliefs(float(arrays["a_hat"]), float(arrays["s"]), arrays["b_hat"], Sigma),
         int(rec["step_index"]),
         np.random.Generator(bg),
     )

@@ -254,3 +254,27 @@ def test_experiment_names_the_seed_of_a_non_finite_observation(monkeypatch):
     monkeypatch.setattr(harness, "make_dataset", dataset)
     with pytest.raises(ValueError, match=r"seed 2\b.*step 7\b.*non-finite"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("learn_b", [False, True], ids=["b-known", "b-learned"])
+def test_a_singular_latent_covariance_steps_and_each_filter_gets_its_alone_bits(learn_b, monkeypatch):
+    # a nonzero PSD Sigma with a zero eigenvalue has no Cholesky factor: its
+    # draws take vb._psd_sqrt's eigh fallback, alone and, for that filter's
+    # matrix alone, in the stacked batch
+    import copy
+
+    d = 3
+    singular = np.diag([0.1, 0.0, 0.05])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular)
+    hyper = vk.VikingHyper(vk.NoiseTransform.diagonal(d), np.eye(d), rho_b=0.0, n_mc=3, learn_b=learn_b)
+    inits = [vk.default_initial_state(hyper.transform, seed=s) for s in (1, 2, 3)]
+    inits[1].beliefs.Sigma = singular
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(12, 3, d))
+    y = x.sum(axis=-1) + rng.standard_normal((12, 3))
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    traces, _ = vk.vb.viking_run_batch(x, y, hyper, copy.deepcopy(inits), keep_state=True)
+    assert calls and all(np.isfinite(trace.forecast).all() for trace in traces)
+    _assert_matches_alone(traces, x, y, hyper, inits, "singular Sigma")

@@ -316,3 +316,73 @@ def test_grid_bad_rho_flag_exits_1(tmp_path, capsys):
                    "--out", str(tmp_path))
     assert code == 1
     assert "error: rho_a = nan" in capsys.readouterr().err
+
+
+def test_seed_range_writes_what_the_seed_list_writes(tmp_path):
+    args = ("experiment", "--experiment", "ws-iid", "--n", "30", "--n-mc", "2")
+    assert run_cli(*args, "--seeds", "2..4", "--out", str(tmp_path / "range")) == 0
+    assert run_cli(*args, "--seeds", "2,3,4", "--out", str(tmp_path / "list")) == 0
+    files = sorted(p.relative_to(tmp_path / "list") for p in (tmp_path / "list").rglob("*.csv"))
+    assert len(files) == 4  # three seeds and the summary
+    assert sorted(p.relative_to(tmp_path / "range") for p in (tmp_path / "range").rglob("*.csv")) == files
+    assert all((tmp_path / "range" / f).read_bytes() == (tmp_path / "list" / f).read_bytes() for f in files)
+
+
+@pytest.mark.parametrize("text, value", [("true", True), (" TRUE ", True), ("1", True), ("yes", True), ("On", True),
+                                         ("false", False), ("0", False), ("no", False), ("OFF ", False)])
+def test_parse_bool_forms(text, value):
+    from viking.cli import _parse_bool
+
+    assert _parse_bool(text) is value
+
+
+def test_an_invalid_boolean_exits_1_naming_its_key(tmp_path, capsys):
+    cfg = tmp_path / "bool.cfg"
+    cfg.write_text("learn_b = maybe\n", encoding="utf-8")
+    assert run_cli("experiment", "--config", str(cfg), "--seeds", "1", "--n", "30", "--out", str(tmp_path)) == 1
+    assert "error: learn_b: expected a boolean, got 'maybe'" in capsys.readouterr().err
+
+
+def test_a_flag_value_is_parsed_as_its_config_key(tmp_path, capsys):
+    assert run_cli("experiment", "--n", "abc", "--out", str(tmp_path)) == 1
+    assert "error: n: invalid literal for int() with base 10: 'abc'" in capsys.readouterr().err
+    assert run_cli("grid", "--rho-a", "x", "--out", str(tmp_path)) == 1
+    assert "error: rho_a: could not convert string to float: 'x'" in capsys.readouterr().err
+
+
+def test_filter_without_data_exits_1(tmp_path, capsys):
+    assert run_cli("filter", "--out", str(tmp_path)) == 1
+    assert "error: filter requires --data <dataset csv>" in capsys.readouterr().err
+
+
+def test_grid_with_a_kalman_method_exits_1(tmp_path, capsys):
+    assert run_cli("grid", "--method", "kalman-constant", "--seeds", "1", "--n", "30", "--out", str(tmp_path)) == 1
+    assert "error: grid search applies to the adaptive filter only" in capsys.readouterr().err
+
+
+def test_grid_takes_the_default_rho_a_ladder(tmp_path, capsys):
+    from viking.harness import DEFAULT_RHO_GRID
+
+    code = run_cli("grid", "--experiment", "ws-iid", "--seeds", "1", "--n", "30", "--n-mc", "2",
+                   "--rho-b", "0.001", "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "ws-iid" / "viking-diagonal" / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(DEFAULT_RHO_GRID)
+    assert all(row.startswith(f"viking,diagonal,rho_a={a:.6g},rho_b=0.001,") for row, a in zip(rows, DEFAULT_RHO_GRID))
+
+
+@pytest.mark.parametrize("seeds", ["1", "1,2"])
+def test_a_learned_a_without_prior_variance_exits_1_naming_the_seed(tmp_path, capsys, seeds):
+    # s0 = 0 with rho_a = 0: one seed died in a ZeroDivisionError traceback,
+    # two divided by zero under warnings and ran on
+    cfg = tmp_path / "zero-a-prior.cfg"
+    cfg.write_text("rho_a = 0\ns0 = 0\n", encoding="utf-8")
+    args = ("experiment", "--experiment", "ws-iid", "--seeds", seeds, "--n", "30", "--n-mc", "2",
+            "--config", str(cfg), "--out", str(tmp_path))
+    assert run_cli(*args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed 1, ") and "s + rho_a must be > 0 when a is learned" in captured.err
+    assert "Traceback" not in captured.err and "mse=" not in captured.out
+    # a known a needs no prior variance
+    cfg.write_text("rho_a = 0\ns0 = 0\nlearn_a = false\n", encoding="utf-8")
+    assert run_cli(*args) == 0

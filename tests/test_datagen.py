@@ -257,3 +257,10 @@ def test_zero_variance_overrides_still_generate():
     x = gen_design(DesignKind.IID, 6, 1)
     ds = gen_wellspecified(x, 1, sigma2_override=np.zeros(6), q_diag_override=np.zeros((6, 5)))
     assert np.isfinite(ds.y).all()
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0, np.nan])
+def test_design_rejects_a_length_that_is_not_a_positive_integer(n):
+    for kind in (DesignKind.IID, DesignKind.NONIID):
+        with pytest.raises(ValueError, match=f"^n = {n} must be an integer >= 1$"):
+            gen_design(kind, n, 1)

@@ -1,11 +1,13 @@
 """Exact bytes of every CSV writer, on two-row inputs whose values need all
 17 significant digits (0.1 + 0.2, 1/3), a tiny negative value and -0.0."""
 
+from dataclasses import fields
+
 import numpy as np
 
 from viking.datagen import Dataset, Truth, read_dataset_csv, write_dataset_csv
 from viking.harness import ExperimentSummary, SummaryRow, write_summary_csv
-from viking.records import Trace, write_trace_csv
+from viking.records import StepRecord, Trace, write_trace_csv
 
 A, B, C, Z = 0.1 + 0.2, 1 / 3, -2.5e-300, -0.0
 X = np.array([[A, B], [C, Z]])
@@ -75,3 +77,17 @@ def test_summary_bytes(tmp_path):
         "method,setting,grid,mean_mse,stderr_mse\n"
         "viking,diagonal,rho_a=0.000123,rho_b=0.00248,0.30000000000000004,0.33333333333333331\n"
         "viking,diagonal,rho_a=1,rho_b=0,-2.5e-300,-0\n")
+
+
+def test_a_step_of_a_trace_is_the_record_iteration_gives():
+    with_latents = Trace(np.arange(2), Y, col(A, C), col(B, 1e300), col(Z, A), col(-B, 0.0), col(1e-5, B),
+                         col(A, 2.0), X, X.T, col(0.0, A), theta=X, cov=np.stack([X, X.T]))
+    without = Trace(np.arange(2), Y, col(A, C), col(B, 1e300), col(Z, A), col(0.0, -B), col(0.0, 0.0),
+                    col(1.0, A), None, None, col(Z, B))
+    for trace in (with_latents, without):
+        for t, want in enumerate(trace):
+            got = trace[t]
+            for f in fields(StepRecord):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is type(b), (t, f.name)
+                assert a is None or np.asarray(a).tobytes() == np.asarray(b).tobytes(), (t, f.name)

@@ -267,3 +267,10 @@ def test_phi_family_keeps_its_bits_on_finite_input():
         want = np.where(b >= 0.0, branch(np.maximum(b, 0.0)), 0.0)
         assert fn(b).tobytes() == want.tobytes()
         assert all(np.float64(fn(float(v))).tobytes() == w.tobytes() for v, w in zip(b, want))
+
+
+@pytest.mark.parametrize("dim", [2.5, True, 0, "3"])
+def test_transform_rejects_a_dimension_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValueError, match=f"^state dimension = {dim} must be an integer >= 1$"):
+        NoiseTransform.diagonal(dim)
+    assert NoiseTransform.diagonal(np.int64(3)).latent_dim == 3

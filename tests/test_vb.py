@@ -537,6 +537,11 @@ def test_checkpoint_roundtrip_continues_identically():
     ("a_hat", "abc", "'a_hat' must be a number or a flat list of numbers"),
     ("Sigma", "xy", "'Sigma' must be a number or a flat list of numbers"),
     ("cov", [[1.0, 0.0], [0.0, 1.0, 0.0]], "'cov' must be a number or a flat list of numbers"),
+    ("s", -1.0, "^checkpoint field 's' = -1.0 must be finite and >= 0$"),
+    ("cov", [1.0, 5.0, -5.0, 1.0], "^checkpoint field 'cov': covariance is not symmetric"),
+    ("cov", [-1.0, 0.0, 0.0, -1.0], "^checkpoint field 'cov': covariance has a significantly negative eigenvalue"),
+    ("Sigma", [0.1, 0.5, 0.0, 0.1], "^checkpoint field 'Sigma': covariance is not symmetric"),
+    ("Sigma", [-0.1, 0.0, 0.0, -0.1], "^checkpoint field 'Sigma': covariance has a significantly negative eigenvalue"),
 ])
 def test_checkpoint_rejects_non_finite_or_misfit_fields(field, value, match):
     rec = state_to_checkpoint(default_initial_state(vk.NoiseTransform.diagonal(2), seed=3))
@@ -771,3 +776,83 @@ def test_step_equals_its_parts_composed_pass_by_pass(batch, kind, latent):
         assert all(a.bit_generator.state == b.bit_generator.state for a, b in gens)
     assert st_.step_index == n
     assert st_.beliefs.Sigma.any() != known
+
+
+# ------------------------------------------------ rejected inputs, named
+
+def test_checkpoint_loads_a_zero_state_and_latent_covariance():
+    # p0 = 0 and sigma0 = 0 (a known b, as the resonator pins it) are PSD
+    st_ = default_initial_state(vk.NoiseTransform.diagonal(2), p0=0.0, s0=0.0, sigma0=0.0, seed=3)
+    restored = state_from_checkpoint(json.loads(json.dumps(state_to_checkpoint(st_))))
+    assert not restored.state.cov.any() and not restored.beliefs.Sigma.any() and restored.beliefs.s == 0.0
+
+
+def test_a_learned_a_without_prior_variance_is_rejected_naming_the_step_and_filter():
+    # s0 = 0 with rho_a = 0 leaves update_s no prior variance to divide by:
+    # one filter died in a ZeroDivisionError while a batch divided by zero
+    # under warnings and ran on with s = 0
+    ds = _dataset(n=20, seed=4)
+    hyper = _hyper(learn_a=True)  # rho_a = 0
+    init = default_initial_state(hyper.transform, s0=0.0, seed=1)
+    with pytest.raises(ValueError, match=r"^step 0: s \+ rho_a must be > 0 when a is learned$"):
+        viking_run(ds, hyper, init=init)
+    later = VikingState(init.state, init.beliefs, 5, init.rng)
+    with pytest.raises(ValueError, match=r"^step 5: s \+ rho_a"):
+        viking_step(later, hyper, ds.x[0], float(ds.y[0]))
+    inits = [default_initial_state(hyper.transform, s0=s0, seed=1) for s0 in (0.1, 0.0, 0.0)]
+    x, y = np.stack([ds.x] * 3, axis=1), np.stack([ds.y] * 3, axis=1)
+    with pytest.raises(ValueError, match=r"^step 0, filter 1: s \+ rho_a must be > 0 when a is learned$") as info:
+        viking_run_batch(x, y, hyper, inits, keep_state=False)
+    assert info.value.filter == 1
+    # a known a never divides by it, and a prior variance of its own suffices
+    for known in (_hyper(), _hyper(learn_a=True, rho_a=1e-4)):
+        trace, _ = viking_run(ds, known, init=default_initial_state(hyper.transform, s0=0.0, seed=1))
+        assert np.isfinite(trace.forecast).all()
+
+
+def test_update_b_on_a_batch_mixing_zero_and_nonzero_priors_raises_the_documented_error():
+    Sigma = np.stack([np.zeros((2, 2)), 0.1 * np.eye(2)])
+    with pytest.raises(ValueError, match="^a batch mixes zero and nonzero latent covariances$"):
+        update_b(np.ones((2, 2)), Sigma, np.zeros((2, 2)), np.zeros((2, 2, 2)), 0.0)
+
+
+_TR = vk.NoiseTransform.diagonal(2)
+_ST = default_initial_state(_TR, seed=1)
+_HY = VikingHyper(_TR, np.eye(2), n_mc=2)
+_B, _S = np.ones(2), 0.1 * np.eye(2)
+_SHAPE_ERRORS = {
+    "viking_step-x": (lambda: viking_step(_ST, _HY, np.ones(3), 0.0),
+                      r"^covariates have shape \(3,\), expected \(2,\)$"),
+    "viking_step-y": (lambda: viking_step(stack_states([_ST, _ST]), _HY, np.ones((2, 2)), np.zeros(3)),
+                      r"^observations have shape \(3,\), expected \(2,\)$"),
+    "viking_run_batch-x": (lambda: viking_run_batch(np.ones((4, 1, 3)), np.zeros((4, 1)), _HY, [_ST], False),
+                           "^dataset dimension 3 does not match filter dimension 2$"),
+    "viking_run_batch-y": (lambda: viking_run_batch(np.ones((4, 2, 2)), np.zeros((4, 1)), _HY, [_ST, _ST], False),
+                           r"^2 initial states and observations of shape \(4, 1\) for x of shape \(4, 2, 2\)$"),
+    "viking_run_batch-inits": (lambda: viking_run_batch(np.ones((4, 2, 2)), np.zeros((4, 2)), _HY, [_ST], False),
+                               r"^1 initial states and observations of shape \(4, 2\)"),
+    "update_b-grad": (lambda: update_b(_B, _S, np.ones(3), np.eye(2), 0.1),
+                      r"^grad has shape \(3,\), expected \(2,\) for b_prev of shape \(2,\)$"),
+    "update_b-H": (lambda: update_b(_B, _S, _B, np.eye(3), 0.1), r"^H has shape \(3, 3\), expected \(2, 2\)"),
+    "update_b-Sigma_prev": (lambda: update_b(_B, np.eye(3), _B, np.eye(2), 0.1),
+                            r"^Sigma_prev has shape \(3, 3\), expected \(2, 2\)"),
+    "stack_states-step": (lambda: stack_states([_ST, VikingState(_ST.state, _ST.beliefs, 1, _ST.rng)]),
+                          "^the filters of a batch must be at the same step$"),
+    "default_initial_state-q0": (lambda: default_initial_state(_TR, q0=[0.1, 0.1, 0.1]),
+                                 r"^q0 has shape \(3,\), expected scalar or \(2,\)$"),
+    "VikingHyper-K": (lambda: VikingHyper(_TR, np.eye(3)),
+                      r"^transition matrix has shape \(3, 3\), expected \(2, 2\) for the 2-dimensional state$"),
+    "kalman_run_grid-K": (lambda: vk.kalman.kalman_run_grid(np.ones((4, 1, 2)), np.zeros((4, 1)), np.eye(3),
+                                                            np.ones((1, 1, 2, 2)), 1.0, _ST.state, False),
+                          r"^transition matrix has shape \(3, 3\), expected \(2, 2\)"),
+    "kalman_run_grid-Q": (lambda: vk.kalman.kalman_run_grid(np.ones((4, 1, 2)), np.zeros((4, 1)), np.eye(2),
+                                                            np.ones((1, 1, 2, 3)), 1.0, _ST.state, False),
+                          r"^Q has shape \(1, 1, 2, 3\), expected \(G, 1, 2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_ERRORS))
+def test_a_shape_error_names_its_argument(case):
+    call, match = _SHAPE_ERRORS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
